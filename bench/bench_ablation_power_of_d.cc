@@ -6,7 +6,9 @@
 // ratio d over {1, 2, 4, 8} for both Sparrow (all jobs probed) and Hawk
 // (short jobs only) across cluster sizes — the first scenario added as a
 // single SweepSpec declaration on the experiment API rather than hand-rolled
-// grid loops.
+// grid loops. The paper's own probe-ratio choice ("two is the best probe
+// ratio", §4.1) is the --d=1,2,3,4 --paper-sizes=10000,15000 slice: its
+// 15000-node rows are the 15k-node operating point.
 //
 // scripts/bench.sh runs this with --json=BENCH_sweep.json so the sweep
 // becomes part of the repo's tracked benchmark artifacts; --csv=PATH emits

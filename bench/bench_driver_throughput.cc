@@ -38,12 +38,22 @@ const Workload& SharedWorkload(uint32_t paper_nodes, uint32_t jobs) {
   return it->second;
 }
 
-// Rate counters shared by every variant below. "events/s" is the
-// executor-independent paper-event rate (bench_util.h PaperEvents), so
-// serial and sharded rows compare directly; "simevents/s" is the executor's
-// internal event-loop rate, comparable within one executor only.
-void RecordRates(benchmark::State& state, uint64_t pevents, uint64_t sim_events,
-                 uint64_t tasks) {
+// Times RunExperiment and records the rate counters shared by every variant
+// below. "events/s" is the paper-event rate (bench_util.h PaperEvents);
+// "simevents/s" is the driver's internal event-loop rate, which also counts
+// bookkeeping events.
+void TimeRuns(benchmark::State& state, const hawk::Trace& trace, const hawk::HawkConfig& config,
+              const char* scheduler) {
+  uint64_t pevents = 0;
+  uint64_t sim_events = 0;
+  uint64_t tasks = 0;
+  for (auto _ : state) {
+    const hawk::RunResult result = hawk::RunExperiment(trace, config, scheduler);
+    pevents += hawk::bench::PaperEvents(result.counters);
+    sim_events += result.counters.events;
+    tasks += result.counters.tasks_launched;
+    benchmark::DoNotOptimize(result.makespan_us);
+  }
   state.counters["events/s"] =
       benchmark::Counter(static_cast<double>(pevents), benchmark::Counter::kIsRate);
   state.counters["simevents/s"] =
@@ -56,18 +66,7 @@ void RecordRates(benchmark::State& state, uint64_t pevents, uint64_t sim_events,
 void BM_DriverThroughput(benchmark::State& state, const char* scheduler,
                          uint32_t paper_nodes, uint32_t jobs) {
   const Workload& workload = SharedWorkload(paper_nodes, jobs);
-  uint64_t pevents = 0;
-  uint64_t sim_events = 0;
-  uint64_t tasks = 0;
-  for (auto _ : state) {
-    const hawk::RunResult result =
-        hawk::RunExperiment(workload.trace, workload.config, scheduler);
-    pevents += hawk::bench::PaperEvents(result.counters);
-    sim_events += result.counters.events;
-    tasks += result.counters.tasks_launched;
-    benchmark::DoNotOptimize(result.makespan_us);
-  }
-  RecordRates(state, pevents, sim_events, tasks);
+  TimeRuns(state, workload.trace, workload.config, scheduler);
 }
 
 #define HAWK_DRIVER_BENCH(kind, scheduler, paper_nodes, jobs)                           \
@@ -100,72 +99,12 @@ void BM_DriverThroughputMultiSlot(benchmark::State& state, const char* scheduler
   hawk::HawkConfig config = workload.config;
   config.num_workers = hawk::bench::SimSize(paper_nodes) / slots;
   config.slots_per_worker = slots;
-  uint64_t pevents = 0;
-  uint64_t sim_events = 0;
-  uint64_t tasks = 0;
-  for (auto _ : state) {
-    const hawk::RunResult result = hawk::RunExperiment(workload.trace, config, scheduler);
-    pevents += hawk::bench::PaperEvents(result.counters);
-    sim_events += result.counters.events;
-    tasks += result.counters.tasks_launched;
-    benchmark::DoNotOptimize(result.makespan_us);
-  }
-  RecordRates(state, pevents, sim_events, tasks);
+  TimeRuns(state, workload.trace, config, scheduler);
 }
 
 BENCHMARK_CAPTURE(BM_DriverThroughputMultiSlot, Hawk_100000nodes_4slots, "hawk", 100000, 4,
                   1000)
     ->Unit(benchmark::kMillisecond);
-
-// Sharded-executor variant: the same workload through the epoch-synchronized
-// sharded driver, sweeping shard count x pool size at the 100k- and 1M-worker
-// scale points (shards=1 is the serial driver, the scaling baseline; there
-// the thread count is irrelevant, so only the 1-thread row exists).
-// docs/performance.md tabulates the scaling; scripts/bench.sh exports this
-// grid as BENCH_shard_scaling.json.
-void BM_DriverThroughputSharded(benchmark::State& state, const char* scheduler,
-                                uint32_t paper_nodes, uint32_t jobs, uint32_t shards,
-                                uint32_t threads) {
-  const Workload& workload = SharedWorkload(paper_nodes, jobs);
-  hawk::HawkConfig config = workload.config;
-  config.sim_shards = shards;
-  config.sim_threads = threads;
-  uint64_t pevents = 0;
-  uint64_t sim_events = 0;
-  uint64_t tasks = 0;
-  for (auto _ : state) {
-    const hawk::RunResult result = hawk::RunExperiment(workload.trace, config, scheduler);
-    pevents += hawk::bench::PaperEvents(result.counters);
-    sim_events += result.counters.events;
-    tasks += result.counters.tasks_launched;
-    benchmark::DoNotOptimize(result.makespan_us);
-  }
-  RecordRates(state, pevents, sim_events, tasks);
-}
-
-#define HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, nshards, nthreads)    \
-  BENCHMARK_CAPTURE(BM_DriverThroughputSharded,                                      \
-                    kind##_##paper_nodes##nodes_##nshards##shards_##nthreads##threads, \
-                    scheduler, paper_nodes, jobs, nshards, nthreads)                 \
-      ->Unit(benchmark::kMillisecond)
-
-#define HAWK_SHARDED_BENCH_GRID(kind, scheduler, paper_nodes, jobs)                  \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 1, 1);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 2, 1);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 2, 2);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 2, 4);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 4, 1);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 4, 2);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 4, 4);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 8, 1);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 8, 2);                      \
-  HAWK_SHARDED_BENCH(kind, scheduler, paper_nodes, jobs, 8, 4)
-
-// 100k workers (1M paper nodes / 10).
-HAWK_SHARDED_BENCH_GRID(Hawk, "hawk", 1000000, 1000);
-
-// 1M workers (10M paper nodes / 10): the WorkerStore-bound point.
-HAWK_SHARDED_BENCH_GRID(Hawk, "hawk", 10000000, 1000);
 
 }  // namespace
 

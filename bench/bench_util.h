@@ -94,15 +94,13 @@ inline HawkConfig GoogleConfig(uint32_t num_workers, uint64_t seed = 42) {
   return config;
 }
 
-// Executor-independent event count for throughput rates: the paper-level
-// control-plane events — job arrivals, probe placements, task placements
-// (centralized lane), and one start plus one finish per launched task.
-// Derived from the semantic RunCounters, which the determinism contract
-// keeps identical across the serial and sharded executors; `counters.events`
-// by contrast tallies each executor's internal bookkeeping (the epoch
-// machinery splits deliveries across coordinator and shard phases), so rates
-// built on it are only comparable within one executor. Rates built on this
-// are comparable across rows and executors alike.
+// Event count for throughput rates: the paper-level control-plane events —
+// job arrivals, probe placements, task placements (centralized lane), and
+// one start plus one finish per launched task. Derived from the semantic
+// RunCounters, which the golden digests pin; `counters.events` by contrast
+// tallies the driver's internal bookkeeping too (utilization samples, fault
+// ticks, message deliveries), so it moves whenever the event plumbing does.
+// Rates built on this are comparable across rows and across commits.
 inline uint64_t PaperEvents(const RunCounters& c) {
   return c.jobs + c.probes_placed + c.central_tasks_placed + 2 * c.tasks_launched;
 }

@@ -4,11 +4,6 @@
 #                      perf-trajectory baseline; compare events/s across
 #                      commits to spot hot-path regressions. Includes the
 #                      1M-worker scale point (10M paper nodes / 10).
-#   BENCH_shard_scaling.json  sharded-executor scaling grid: serial baseline
-#                      plus shards {2,4,8} x pool threads {1,2,4} at the
-#                      100k- and 1M-worker scale points. The multi-core
-#                      scaling table in docs/performance.md is read off this
-#                      artifact.
 #   BENCH_sweep.json   probe-ratio (power-of-d) ablation sweep run through
 #                      the experiment API — tracks result trajectories for
 #                      the sweep grid, not just throughput.
@@ -39,7 +34,6 @@
 #               a Release build here.
 #   JOBS        parallelism (default: nproc)
 #   OUT         throughput JSON path (default: BENCH_driver.json)
-#   SHARD_OUT   shard-scaling JSON path (default: BENCH_shard_scaling.json)
 #   SWEEP_OUT   sweep JSON path (default: BENCH_sweep.json)
 #   HETERO_OUT  hetero-slots JSON path (default: BENCH_hetero_slots.json)
 #   IMPL_OUT    impl-vs-sim JSON path (default: BENCH_impl_vs_sim.json)
@@ -53,7 +47,6 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build-bench}"
 JOBS="${JOBS:-$(nproc)}"
 OUT="${OUT:-BENCH_driver.json}"
-SHARD_OUT="${SHARD_OUT:-BENCH_shard_scaling.json}"
 SWEEP_OUT="${SWEEP_OUT:-BENCH_sweep.json}"
 HETERO_OUT="${HETERO_OUT:-BENCH_hetero_slots.json}"
 IMPL_OUT="${IMPL_OUT:-BENCH_impl_vs_sim.json}"
@@ -97,24 +90,11 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" \
 [[ -x "${BUILD_DIR}/bench_driver_throughput" ]] \
   || die "bench_driver_throughput did not build — was Google Benchmark found? (see README 'Build and test')"
 
-# Two passes over one binary: the serial/multi-slot rows form the perf
-# trajectory (BENCH_driver.json), the sharded grid the multi-core scaling
-# artifact (BENCH_shard_scaling.json). Splitting keeps each artifact's
-# comparison story clean — trajectory rows compare across commits, scaling
-# rows compare within one machine's run.
 "${BUILD_DIR}/bench_driver_throughput" \
-  --benchmark_filter='-.*Sharded.*' \
   --benchmark_out="${OUT}" --benchmark_out_format=json \
   --benchmark_counters_tabular=true "$@"
 
 echo "Wrote ${OUT}"
-
-"${BUILD_DIR}/bench_driver_throughput" \
-  --benchmark_filter='.*Sharded.*' \
-  --benchmark_out="${SHARD_OUT}" --benchmark_out_format=json \
-  --benchmark_counters_tabular=true
-
-echo "Wrote ${SHARD_OUT}"
 
 # The benches print "Wrote ..." themselves on success.
 "${BUILD_DIR}/bench_ablation_power_of_d" --threads="${JOBS}" \

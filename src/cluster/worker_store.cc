@@ -125,30 +125,9 @@ void WorkerStore::RemoveGroup(WorkerId id, size_t begin, size_t end) {
       --queue_short_[i];
     }
   }
-  ShardTotals& totals = totals_[ShardOf(i)];
-  HAWK_CHECK_GE(totals.queued, end - begin);
-  totals.queued -= end - begin;
+  HAWK_CHECK_GE(queued_total_, end - begin);
+  queued_total_ -= end - begin;
   queues_[i].EraseRange(begin, end);
-}
-
-void WorkerStore::ConfigureShards(const std::vector<WorkerId>& shard_begin) {
-  HAWK_CHECK(!shard_begin.empty());
-  HAWK_CHECK_EQ(shard_begin.front(), 0u) << "shard 0 must start at worker 0";
-  HAWK_CHECK_EQ(ExecutingTotal(), 0u) << "ConfigureShards on a store already in use";
-  HAWK_CHECK_EQ(TotalQueued(), 0u) << "ConfigureShards on a store already in use";
-  const uint32_t num_workers = NumWorkers();
-  shard_of_.assign(num_workers, 0);
-  for (size_t s = 0; s + 1 < shard_begin.size(); ++s) {
-    HAWK_CHECK_LT(shard_begin[s], shard_begin[s + 1]) << "shard boundaries must be increasing";
-  }
-  HAWK_CHECK_LT(shard_begin.back(), num_workers) << "empty trailing shard";
-  for (size_t s = 0; s < shard_begin.size(); ++s) {
-    const WorkerId end = s + 1 < shard_begin.size() ? shard_begin[s + 1] : num_workers;
-    for (WorkerId w = shard_begin[s]; w < end; ++w) {
-      shard_of_[w] = static_cast<uint32_t>(s);
-    }
-  }
-  totals_.assign(shard_begin.size(), ShardTotals{});
 }
 
 }  // namespace hawk

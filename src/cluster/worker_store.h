@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "src/cluster/queue_entry.h"
-#include "src/common/aligned.h"
 #include "src/common/check.h"
 #include "src/common/ring_buffer.h"
 #include "src/common/types.h"
@@ -102,17 +101,6 @@ class WorkerStore {
   uint32_t NumWorkers() const { return static_cast<uint32_t>(slots_.size()); }
   uint64_t TotalSlots() const { return total_slots_; }
 
-  // --- sharded execution ---------------------------------------------------
-  // Splits the occupancy accumulators (queued/executing totals) by worker
-  // shard so concurrent shards of the sharded simulation executor never write
-  // one shared counter. `shard_begin` lists each shard's first worker id,
-  // strictly increasing and starting at 0; shard s owns the contiguous range
-  // [shard_begin[s], shard_begin[s+1]) (the last shard runs to NumWorkers()).
-  // Must be called before any entry is queued or executed. The default,
-  // unconfigured store keeps a single accumulator, so the serial driver's
-  // arithmetic is unchanged.
-  void ConfigureShards(const std::vector<WorkerId>& shard_begin);
-
   // --- slots -------------------------------------------------------------
   uint32_t Slots(WorkerId id) const { return slots_[Check(id)]; }
   uint32_t FreeSlots(WorkerId id) const { return free_[Check(id)]; }
@@ -148,7 +136,7 @@ class WorkerStore {
     } else {
       ++queue_short_[i];
     }
-    ++totals_[ShardOf(i)].queued;
+    ++queued_total_;
   }
 
   bool QueueEmpty(WorkerId id) const { return queues_[Check(id)].Empty(); }
@@ -165,29 +153,21 @@ class WorkerStore {
     } else {
       --queue_short_[i];
     }
-    ShardTotals& totals = totals_[ShardOf(i)];
-    HAWK_CHECK_GT(totals.queued, 0u);
-    --totals.queued;
+    HAWK_CHECK_GT(queued_total_, 0u);
+    --queued_total_;
     return entry;
   }
 
   // --- fault injection -----------------------------------------------------
-  // Removes every queued entry of `id` (FIFO order) and appends it to `*out`.
-  // The fault layer hands the entries back to their schedulers for
-  // re-dispatch; callers on hot fault paths pool `*out` across calls so a
-  // crash costs no allocation once warm.
-  void DrainQueueInto(WorkerId id, std::vector<QueueEntry>* out) {
-    const size_t i = Check(id);
-    out->reserve(out->size() + queues_[i].Size());
-    while (!queues_[i].Empty()) {
-      out->push_back(PopFront(id));
-    }
-  }
-
-  // Allocating convenience wrapper around DrainQueueInto.
+  // Removes and returns every queued entry of `id` (FIFO order). The fault
+  // layer hands the entries back to their schedulers for re-dispatch.
   std::vector<QueueEntry> DrainQueue(WorkerId id) {
+    const size_t i = Check(id);
     std::vector<QueueEntry> drained;
-    DrainQueueInto(id, &drained);
+    drained.reserve(queues_[i].Size());
+    while (!queues_[i].Empty()) {
+      drained.push_back(PopFront(id));
+    }
     return drained;
   }
 
@@ -199,9 +179,8 @@ class WorkerStore {
     const size_t i = Check(id);
     HAWK_CHECK(queues_[i].Empty()) << "ResetSlots on worker " << id
                                    << " with a non-empty queue (drain first)";
-    ShardTotals& totals = totals_[ShardOf(i)];
-    HAWK_CHECK_GE(totals.executing, executing_[i]);
-    totals.executing -= executing_[i];
+    HAWK_CHECK_GE(executing_total_, executing_[i]);
+    executing_total_ -= executing_[i];
     executing_[i] = 0;
     requesting_[i] = 0;
     occupied_long_[i] = 0;
@@ -256,7 +235,7 @@ class WorkerStore {
       ++occupied_long_[i];
     }
     busy_accum_us_[i] += task.duration;
-    ++totals_[ShardOf(i)].executing;
+    ++executing_total_;
   }
 
   // Releases an executing slot. `was_long` must match the task's scheduling
@@ -271,9 +250,8 @@ class WorkerStore {
       HAWK_CHECK_GT(occupied_long_[i], 0u);
       --occupied_long_[i];
     }
-    ShardTotals& totals = totals_[ShardOf(i)];
-    HAWK_CHECK_GT(totals.executing, 0u);
-    --totals.executing;
+    HAWK_CHECK_GT(executing_total_, 0u);
+    --executing_total_;
   }
 
   // --- stealing (paper §3.6, Fig. 3) -------------------------------------
@@ -301,26 +279,12 @@ class WorkerStore {
   }
 
   // --- accounting ---------------------------------------------------------
-  // Slots currently executing a task, across the whole store. O(shards);
-  // single-element in the default (unsharded) layout.
-  uint64_t ExecutingTotal() const {
-    uint64_t total = 0;
-    for (const ShardTotals& t : totals_) {
-      total += t.executing;
-    }
-    return total;
-  }
+  // Slots currently executing a task, across the whole store. O(1).
+  uint64_t ExecutingTotal() const { return executing_total_; }
 
-  // Entries queued across the whole store. O(shards); the steal-retry path
-  // uses it to tell "work is waiting somewhere" from "everything left is
-  // executing". Only meaningful between shard phases in sharded runs.
-  uint64_t TotalQueued() const {
-    uint64_t total = 0;
-    for (const ShardTotals& t : totals_) {
-      total += t.queued;
-    }
-    return total;
-  }
+  // Entries queued across the whole store. O(1); the steal-retry path uses it
+  // to tell "work is waiting somewhere" from "everything left is executing".
+  uint64_t TotalQueued() const { return queued_total_; }
 
   // Total microseconds of task execution accumulated on `id`.
   DurationUs BusyAccumUs(WorkerId id) const { return busy_accum_us_[Check(id)]; }
@@ -334,20 +298,10 @@ class WorkerStore {
   }
 
  private:
-  // One cache line per shard: shards mutate their own totals concurrently, so
-  // neighbouring shards must never share a line (false sharing would only
-  // cost performance, but a shared counter would be a data race).
-  struct alignas(64) ShardTotals {
-    uint64_t executing = 0;
-    uint64_t queued = 0;
-  };
-
   size_t Check(WorkerId id) const {
     HAWK_CHECK_LT(id, slots_.size());
     return id;
   }
-
-  uint32_t ShardOf(size_t i) const { return shard_of_.empty() ? 0u : shard_of_[i]; }
 
   // Index (FIFO position) of the first entry of the stealable group, or the
   // queue size if none. Screens on the composition counters before scanning.
@@ -356,24 +310,18 @@ class WorkerStore {
   // Erases queue positions [begin, end) and updates the composition counters.
   void RemoveGroup(WorkerId id, size_t begin, size_t end);
 
-  // Hot arrays (dense, one small integer per worker). Cache-line-aligned
-  // bases: concurrent shards of the sharded executor mutate disjoint worker
-  // ranges of these arrays, and the driver rounds large-cluster shard
-  // boundaries to 32-worker multiples — with aligned bases that puts every
-  // boundary on a line boundary in each array, so neighbouring shards never
-  // write the same line.
-  CacheAlignedVector<uint16_t> free_;
-  CacheAlignedVector<uint16_t> executing_;
-  CacheAlignedVector<uint16_t> requesting_;
-  CacheAlignedVector<uint16_t> occupied_long_;
-  CacheAlignedVector<uint32_t> queue_long_;
-  CacheAlignedVector<uint32_t> queue_short_;
+  // Hot arrays (dense, one small integer per worker).
+  std::vector<uint16_t> free_;
+  std::vector<uint16_t> executing_;
+  std::vector<uint16_t> requesting_;
+  std::vector<uint16_t> occupied_long_;
+  std::vector<uint32_t> queue_long_;
+  std::vector<uint32_t> queue_short_;
 
-  // Cold side arrays (queues_ and busy_accum_us_ are phase-written too, so
-  // they get the same aligned-base treatment).
+  // Cold side arrays.
   std::vector<uint16_t> slots_;
-  CacheAlignedVector<RingBuffer<QueueEntry>> queues_;
-  CacheAlignedVector<DurationUs> busy_accum_us_;
+  std::vector<RingBuffer<QueueEntry>> queues_;
+  std::vector<DurationUs> busy_accum_us_;
 
   // Slot-index mapping. Uniform layouts need no tables (divide/multiply by
   // the shared slot count); heterogeneous layouts carry prefix + reverse maps.
@@ -384,9 +332,9 @@ class WorkerStore {
 
   uint64_t total_slots_ = 0;
 
-  // Occupancy accumulators, one per shard (exactly one until ConfigureShards).
-  std::vector<ShardTotals> totals_{1};
-  std::vector<uint32_t> shard_of_;  // Empty = everything in shard 0.
+  // Occupancy accumulators across every worker.
+  uint64_t executing_total_ = 0;
+  uint64_t queued_total_ = 0;
 };
 
 }  // namespace hawk

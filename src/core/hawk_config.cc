@@ -1,9 +1,11 @@
 #include "src/core/hawk_config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 namespace hawk {
 namespace {
@@ -90,15 +92,6 @@ constexpr FieldSetter kFields[] = {
        c.short_partition_fraction = v;
        return true;
      }},
-    {"sim_epoch_coalescing",
-     [](HawkConfig& c, double v) {
-       c.sim_epoch_coalescing = v != 0.0;
-       return true;
-     }},
-    {"sim_shards",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.sim_shards, v); }},
-    {"sim_threads",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.sim_threads, v); }},
     {"slots_per_worker",
      [](HawkConfig& c, double v) { return SetIntegerField(&c.slots_per_worker, v); }},
     {"speculation_threshold",
@@ -191,6 +184,25 @@ uint32_t HawkConfig::GeneralCount() const {
 }
 
 Status HawkConfig::Validate() const {
+  // Range checks below are written so NaN fails them, but an unbounded one
+  // would let an infinity through to the llround casts in the driver.
+  const std::pair<const char*, double> doubles[] = {
+      {"big_worker_fraction", big_worker_fraction},
+      {"short_partition_fraction", short_partition_fraction},
+      {"estimate_noise_lo", estimate_noise_lo},
+      {"estimate_noise_hi", estimate_noise_hi},
+      {"worker_crash_rate", worker_crash_rate},
+      {"worker_churn_rate", worker_churn_rate},
+      {"message_loss_rate", message_loss_rate},
+      {"straggler_rate", straggler_rate},
+      {"straggler_slowdown_factor", straggler_slowdown_factor},
+      {"speculation_threshold", speculation_threshold},
+  };
+  for (const auto& [name, value] : doubles) {
+    if (!std::isfinite(value)) {
+      return Status::Error(std::string(name) + " must be finite, got " + std::to_string(value));
+    }
+  }
   if (num_workers == 0) {
     return Status::Error("num_workers must be nonzero");
   }
@@ -274,10 +286,12 @@ Status HawkConfig::Validate() const {
     return Status::Error("straggler_rate must be in [0, 1], got " +
                          std::to_string(straggler_rate));
   }
-  if (straggler_rate > 0.0 && !(straggler_slowdown_factor > 1.0)) {
-    return Status::Error(
-        "straggler_slowdown_factor must be > 1 when straggler_rate > 0, got " +
-        std::to_string(straggler_slowdown_factor));
+  if (straggler_rate > 0.0 && !(straggler_slowdown_factor > 1.0 &&
+                                 straggler_slowdown_factor <= kMaxStragglerSlowdownFactor)) {
+    return Status::Error("straggler_slowdown_factor must be in (1, " +
+                         std::to_string(kMaxStragglerSlowdownFactor) +
+                         "] when straggler_rate > 0, got " +
+                         std::to_string(straggler_slowdown_factor));
   }
   if (!(speculation_threshold >= 0.0)) {
     return Status::Error("speculation_threshold must be >= 0, got " +
@@ -285,23 +299,6 @@ Status HawkConfig::Validate() const {
   }
   if (retry_budget < 1) {
     return Status::Error("retry_budget must be >= 1 (got 0)");
-  }
-  if (sim_shards < 1) {
-    return Status::Error("sim_shards must be >= 1 (got 0)");
-  }
-  if (sim_shards > 1) {
-    if (sim_shards > num_workers) {
-      return Status::Error("sim_shards (" + std::to_string(sim_shards) +
-                           ") must not exceed num_workers (" + std::to_string(num_workers) +
-                           "); every shard needs at least one worker");
-    }
-    // The sharded executor's safe horizon is the one-way network delay: all
-    // cross-worker effects take at least one delivery, so each shard can
-    // advance net_delay_us of virtual time between barriers. A zero delay
-    // leaves no conservative window.
-    if (net_delay_us < 1) {
-      return Status::Error("sim_shards > 1 requires net_delay_us >= 1 (the horizon)");
-    }
   }
   return Status::Ok();
 }

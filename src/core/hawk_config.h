@@ -27,6 +27,11 @@ enum class ClassifyMode : uint8_t {
   kHint,
 };
 
+// Ceiling on straggler_slowdown_factor. Stretched durations are int64
+// microseconds: at this factor a task would have to run for more than 292
+// years (2^63 / 1000 us) before its stretched copy overflowed.
+inline constexpr double kMaxStragglerSlowdownFactor = 1000.0;
+
 struct HawkConfig {
   uint32_t num_workers = 1500;
 
@@ -90,30 +95,6 @@ struct HawkConfig {
 
   uint64_t seed = 42;
 
-  // --- sharded simulation ---------------------------------------------------
-  // Number of worker-store shards the simulation executor may advance in
-  // parallel within one run. 1 (the default) selects the serial driver and is
-  // byte-identical to builds without the sharded executor. Values > 1 select
-  // the epoch-synchronized sharded executor: results are bit-identical across
-  // thread counts and across shard counts > 1 for a given seed, but are a
-  // sanctioned divergence from sim_shards=1 (stealing commits at epoch
-  // barriers and straggler draws use per-worker substreams; pinned by the
-  // golden-result fixtures). Simulation-only: the prototype runtime ignores
-  // this knob.
-  uint32_t sim_shards = 1;
-
-  // OS threads driving the shard phases. 0 (the default) uses
-  // min(sim_shards, hardware concurrency). Non-semantic: any value yields
-  // bit-identical results for a fixed sim_shards.
-  uint32_t sim_threads = 0;
-
-  // Epoch coalescing in the sharded executor: when an epoch window contains
-  // no shard-side events, the coordinator advances to the next window without
-  // waking the phase pool (an empty phase commits nothing, so skipping it is
-  // order-preserving by construction). Non-semantic like sim_threads: on and
-  // off are bit-identical; the knob exists so tests can pin that.
-  bool sim_epoch_coalescing = true;
-
   // --- fault injection ------------------------------------------------------
   // All knobs default to zero: a zero-fault run draws nothing from the fault
   // RNG and is byte-identical to a build without the fault layer.
@@ -152,8 +133,8 @@ struct HawkConfig {
   // drags — which is the failure mode crash injection cannot model.
   double straggler_rate = 0.0;
 
-  // How much slower a stricken execution runs (> 1). Inert at
-  // straggler_rate == 0.
+  // How much slower a stricken execution runs, in (1,
+  // kMaxStragglerSlowdownFactor]. Inert at straggler_rate == 0.
   double straggler_slowdown_factor = 8.0;
 
   // Speculative re-execution (> 0 enables): when a running task's elapsed

@@ -9,7 +9,6 @@
 #include "src/scheduler/centralized.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/registry.h"
-#include "src/scheduler/sharded_driver.h"
 #include "src/scheduler/sparrow.h"
 #include "src/scheduler/split.h"
 #include "src/scheduler/sweep_runner.h"
@@ -213,10 +212,6 @@ RunResult RunExperiment(const ExperimentSpec& spec) {
                                 << "' factory returned null";
   const uint32_t general_count =
       entry->general_count ? entry->general_count(spec.config) : spec.config.num_workers;
-  if (spec.config.sim_shards > 1) {
-    ShardedSimulationDriver driver(spec.trace, spec.config, general_count, policy.get());
-    return driver.Run();
-  }
   SimulationDriver driver(spec.trace, spec.config, general_count, policy.get());
   return driver.Run();
 }

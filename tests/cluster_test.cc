@@ -153,6 +153,59 @@ TEST(WorkerStoreTest, StealGroupIntoAfterWraparound) {
   EXPECT_TRUE(store.QueueEmpty(victim));
 }
 
+// The store-wide totals are maintained incrementally on every queue and slot
+// transition; they must always equal a recount over the per-worker state.
+TEST(WorkerStoreTest, TotalsMatchPerWorkerRecount) {
+  WorkerStore store(4);
+  auto expect_totals_match = [&store] {
+    uint64_t queued = 0;
+    uint64_t executing = 0;
+    for (WorkerId w = 0; w < store.NumWorkers(); ++w) {
+      queued += store.QueueSize(w);
+      executing += store.ExecutingSlots(w);
+    }
+    EXPECT_EQ(store.TotalQueued(), queued);
+    EXPECT_EQ(store.ExecutingTotal(), executing);
+  };
+  expect_totals_match();
+
+  // Victim 0 runs long work ahead of a short group, a long entry and a
+  // second short group; worker 2 holds unrelated entries.
+  store.BeginExecute(0, 0, LongTask(1));
+  for (JobId job = 2; job <= 4; ++job) {
+    store.Enqueue(0, ShortProbe(job));
+  }
+  store.Enqueue(0, LongTask(5));
+  store.Enqueue(0, ShortProbe(6));
+  store.Enqueue(2, ShortProbe(7));
+  store.Enqueue(2, LongTask(8));
+  expect_totals_match();
+  EXPECT_EQ(store.TotalQueued(), 7u);
+
+  // A steal splices entries between queues: the total is unchanged.
+  EXPECT_EQ(store.StealGroupInto(0, 1), 3u);
+  expect_totals_match();
+  EXPECT_EQ(store.TotalQueued(), 7u);
+
+  // Extraction removes the entries from the store altogether.
+  store.FinishExecute(0, /*was_long=*/true);
+  store.BeginExecute(0, 0, store.PopFront(0));
+  EXPECT_EQ(store.ExtractStealableGroup(0).size(), 1u);
+  expect_totals_match();
+  EXPECT_EQ(store.TotalQueued(), 5u);
+
+  store.BeginExecute(1, 0, ShortTask(9));
+  EXPECT_EQ(store.DrainQueue(1).size(), 3u);
+  EXPECT_EQ(store.DrainQueue(2).size(), 2u);
+  expect_totals_match();
+  EXPECT_EQ(store.TotalQueued(), 0u);
+  EXPECT_EQ(store.ExecutingTotal(), 2u);
+
+  store.ResetSlots(1);
+  expect_totals_match();
+  EXPECT_EQ(store.ExecutingTotal(), 1u);
+}
+
 // --- Slot layout -------------------------------------------------------------
 
 TEST(WorkerStoreTest, UniformSlotIndexMapping) {

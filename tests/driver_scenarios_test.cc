@@ -13,7 +13,6 @@
 #include "src/core/hawk_config.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/experiment.h"
-#include "src/scheduler/sharded_driver.h"
 #include "src/scheduler/sparrow.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
@@ -215,10 +214,9 @@ TEST(DriverScenarioTest, LateArrivalSeesEmptyCluster) {
 }
 
 // --- metamorphic properties --------------------------------------------------
-// Relations that must hold between *pairs* of runs, checked against both the
-// serial executor (sim_shards=1) and the sharded one (sim_shards=4). These
-// catch semantic bugs no single-run pin can: accidental dependence on trace
-// add-order, non-linear time arithmetic, or worker-identity leaks.
+// Relations that must hold between *pairs* of runs. These catch semantic bugs
+// no single-run pin can: accidental dependence on trace add-order, non-linear
+// time arithmetic, or worker-identity leaks.
 
 void ExpectSameOutcome(const RunResult& r1, const RunResult& r2) {
   ASSERT_EQ(r1.jobs.size(), r2.jobs.size());
@@ -271,15 +269,12 @@ TEST(MetamorphicTest, EqualTimeArrivalOrderIsInvisible) {
     return trace;
   }();
   for (const char* scheduler : {"sparrow", "hawk"}) {
-    for (const uint32_t shards : {1u, 4u}) {
-      SCOPED_TRACE(std::string(scheduler) + " shards=" + std::to_string(shards));
-      HawkConfig config = Config(10);
-      config.classify_mode = ClassifyMode::kHint;
-      config.sim_shards = shards;
-      const RunResult base = RunExperiment(canonical, config, scheduler);
-      ExpectSameOutcome(base, RunExperiment(rotated, config, scheduler));
-      ExpectSameOutcome(base, RunExperiment(reversed, config, scheduler));
-    }
+    SCOPED_TRACE(scheduler);
+    HawkConfig config = Config(10);
+    config.classify_mode = ClassifyMode::kHint;
+    const RunResult base = RunExperiment(canonical, config, scheduler);
+    ExpectSameOutcome(base, RunExperiment(rotated, config, scheduler));
+    ExpectSameOutcome(base, RunExperiment(reversed, config, scheduler));
   }
 }
 
@@ -317,23 +312,17 @@ TEST(MetamorphicTest, DoublingAllTimeInputsDoublesAllOutputs) {
   scaled_config.steal_retry_interval_us *= kScale;
 
   for (const char* scheduler : {"sparrow", "centralized", "hawk", "split"}) {
-    for (const uint32_t shards : {1u, 4u}) {
-      SCOPED_TRACE(std::string(scheduler) + " shards=" + std::to_string(shards));
-      HawkConfig b = base_config;
-      b.sim_shards = shards;
-      HawkConfig s = scaled_config;
-      s.sim_shards = shards;
-      const RunResult r1 = RunExperiment(base_trace, b, scheduler);
-      const RunResult r2 = RunExperiment(scaled_trace, s, scheduler);
-      ASSERT_EQ(r1.jobs.size(), r2.jobs.size());
-      for (size_t i = 0; i < r1.jobs.size(); ++i) {
-        ASSERT_EQ(r1.jobs[i].id, r2.jobs[i].id);
-        ASSERT_EQ(kScale * r1.jobs[i].finish_time, r2.jobs[i].finish_time) << "job " << i;
-        ASSERT_EQ(kScale * r1.jobs[i].runtime_us, r2.jobs[i].runtime_us) << "job " << i;
-      }
-      EXPECT_EQ(kScale * r1.makespan_us, r2.makespan_us);
-      EXPECT_EQ(kScale * r1.total_busy_us, r2.total_busy_us);
+    SCOPED_TRACE(scheduler);
+    const RunResult r1 = RunExperiment(base_trace, base_config, scheduler);
+    const RunResult r2 = RunExperiment(scaled_trace, scaled_config, scheduler);
+    ASSERT_EQ(r1.jobs.size(), r2.jobs.size());
+    for (size_t i = 0; i < r1.jobs.size(); ++i) {
+      ASSERT_EQ(r1.jobs[i].id, r2.jobs[i].id);
+      ASSERT_EQ(kScale * r1.jobs[i].finish_time, r2.jobs[i].finish_time) << "job " << i;
+      ASSERT_EQ(kScale * r1.jobs[i].runtime_us, r2.jobs[i].runtime_us) << "job " << i;
     }
+    EXPECT_EQ(kScale * r1.makespan_us, r2.makespan_us);
+    EXPECT_EQ(kScale * r1.total_busy_us, r2.total_busy_us);
   }
 }
 
@@ -414,15 +403,10 @@ class RelabelPolicy : public SchedulerPolicy {
 };
 
 // Uniform workers are exchangeable: routing sparrow (no partition, no
-// stealing) through a worker-id reversal must be invisible. The serial
-// executor resolves same-instant ties by placement order — a relabeling-
-// equivariant key — so there the invariance is bit-exact: every job time,
-// the busy total and the utilization series match. The sharded executor's
-// canonical commit order is (due, worker id): relabeling reorders
-// same-microsecond commits between workers (e.g. which of two simultaneous
-// grants takes which task duration), so worker identity is semantically
-// load-bearing at epoch barriers and only the *distribution* is invariant —
-// work conservation exactly, runtime statistics tightly.
+// stealing) through a worker-id reversal must be invisible. The driver
+// resolves same-instant ties by placement order — a relabeling-equivariant
+// key — so the invariance is bit-exact: every job time, the busy total and
+// the utilization series match.
 TEST(MetamorphicTest, WorkerRelabelingIsInvisible) {
   Trace trace = GenerateClusterWorkload(FacebookParams(80, 5));
   {
@@ -437,45 +421,13 @@ TEST(MetamorphicTest, WorkerRelabelingIsInvisible) {
   for (WorkerId w = 0; w < config.num_workers; ++w) {
     reversal[w] = config.num_workers - 1 - w;
   }
-  auto run = [&trace](const HawkConfig& c, std::unique_ptr<SchedulerPolicy> policy) {
-    if (c.sim_shards > 1) {
-      ShardedSimulationDriver driver(&trace, c, c.num_workers, policy.get());
-      return driver.Run();
-    }
-    SimulationDriver driver(&trace, c, c.num_workers, policy.get());
+  auto run = [&trace, &config](std::unique_ptr<SchedulerPolicy> policy) {
+    SimulationDriver driver(&trace, config, config.num_workers, policy.get());
     return driver.Run();
   };
-  auto relabeled_policy = [&reversal, &config] {
-    return std::make_unique<RelabelPolicy>(
-        std::make_unique<SparrowPolicy>(config.probe_ratio), reversal);
-  };
-
-  // Serial: bit-exact.
-  const RunResult serial_base =
-      run(config, std::make_unique<SparrowPolicy>(config.probe_ratio));
-  ExpectSameOutcome(serial_base, run(config, relabeled_policy()));
-
-  // Sharded: exact conservation, statistical runtime invariance.
-  HawkConfig sharded = config;
-  sharded.sim_shards = 4;
-  const RunResult base = run(sharded, std::make_unique<SparrowPolicy>(config.probe_ratio));
-  const RunResult relabel = run(sharded, relabeled_policy());
-  ASSERT_EQ(base.jobs.size(), relabel.jobs.size());
-  EXPECT_EQ(base.total_busy_us, relabel.total_busy_us);  // Same work, done once.
-  EXPECT_EQ(base.counters.tasks_launched, relabel.counters.tasks_launched);
-  double base_mean = 0.0;
-  double relabel_mean = 0.0;
-  // Mean of per-job runtimes (equal weights, so plain sums compare safely).
-  for (size_t i = 0; i < base.jobs.size(); ++i) {
-    base_mean += static_cast<double>(base.jobs[i].runtime_us);
-    relabel_mean += static_cast<double>(relabel.jobs[i].runtime_us);
-  }
-  base_mean /= static_cast<double>(base.jobs.size());
-  relabel_mean /= static_cast<double>(relabel.jobs.size());
-  EXPECT_NEAR(relabel_mean / base_mean, 1.0, 0.02);
-  const double makespan_ratio =
-      static_cast<double>(relabel.makespan_us) / static_cast<double>(base.makespan_us);
-  EXPECT_NEAR(makespan_ratio, 1.0, 0.02);
+  const RunResult base = run(std::make_unique<SparrowPolicy>(config.probe_ratio));
+  ExpectSameOutcome(base, run(std::make_unique<RelabelPolicy>(
+                              std::make_unique<SparrowPolicy>(config.probe_ratio), reversal)));
 }
 
 }  // namespace

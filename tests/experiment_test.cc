@@ -3,6 +3,7 @@
 // registry replaced.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -278,6 +279,33 @@ TEST(HawkConfigValidateTest, AcceptsDefaultsRejectsNonsense) {
 
   config = HawkConfig();
   config.util_sample_period_us = 0;
+  EXPECT_FALSE(config.Validate().ok());
+
+  // Non-finite values are rejected in every double field, including ones
+  // whose range check is one-sided.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double HawkConfig::*field :
+       {&HawkConfig::big_worker_fraction, &HawkConfig::short_partition_fraction,
+        &HawkConfig::estimate_noise_lo, &HawkConfig::estimate_noise_hi,
+        &HawkConfig::worker_crash_rate, &HawkConfig::worker_churn_rate,
+        &HawkConfig::message_loss_rate, &HawkConfig::straggler_rate,
+        &HawkConfig::straggler_slowdown_factor, &HawkConfig::speculation_threshold}) {
+    for (const double bad : {kInf, -kInf, kNaN}) {
+      config = HawkConfig();
+      config.*field = bad;
+      EXPECT_FALSE(config.Validate().ok()) << bad;
+    }
+  }
+
+  // A straggler stretch beyond the cap would overflow the int64 duration.
+  config = HawkConfig();
+  config.straggler_rate = 0.1;
+  config.straggler_slowdown_factor = kMaxStragglerSlowdownFactor;
+  EXPECT_TRUE(config.Validate().ok());
+  config.straggler_slowdown_factor = 1e300;
+  EXPECT_FALSE(config.Validate().ok());
+  config.straggler_slowdown_factor = 1.0;
   EXPECT_FALSE(config.Validate().ok());
 }
 

@@ -52,24 +52,6 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
 // same invariants. Locally (unset) the fallback keeps runs reproducible.
 uint64_t EnvFaultSeed(uint64_t fallback) { return EnvU64("HAWK_FAULT_SEED", fallback); }
 
-// Second chaos-soak axis: HAWK_SIM_SHARDS routes the *simulation* halves of
-// the fault suites through the sharded executor (the prototype halves run
-// real threads and ignore it). The shards>1 identity pins live in
-// shard_test.cc; here the same fault invariants must hold per shard count.
-uint32_t EnvSimShards() {
-  const uint64_t shards = EnvU64("HAWK_SIM_SHARDS", 1);
-  HAWK_CHECK_GE(shards, 1u) << "HAWK_SIM_SHARDS must be >= 1";
-  return static_cast<uint32_t>(shards);
-}
-
-// Third chaos-soak axis: HAWK_SIM_THREADS sizes the sharded executor's phase
-// pool (0 = hardware default, 1 = inline). Only meaningful with shards > 1;
-// thread-count identity pins live in shard_test.cc, here each pool size must
-// uphold the same fault invariants under TSan.
-uint32_t EnvSimThreads() {
-  return static_cast<uint32_t>(EnvU64("HAWK_SIM_THREADS", 1));
-}
-
 Trace MakeTrace(uint32_t jobs = 150, uint64_t seed = 5, double interarrival_s = 2.0) {
   Trace trace = GenerateClusterWorkload(FacebookParams(jobs, seed));
   Rng arrivals_rng(11);
@@ -94,8 +76,6 @@ HawkConfig FaultyConfig() {
   config.message_loss_rate = 0.05;
   config.message_delay_jitter_us = 2'000;
   config.fault_seed = EnvFaultSeed(3);
-  config.sim_shards = EnvSimShards();
-  config.sim_threads = EnvSimThreads();
   return config;
 }
 

@@ -1,12 +1,8 @@
-// Golden-result pins: one 64-bit digest per (scheduler, seed, sim_shards)
-// cell over a fixed chaos workload, for every registered scheduler, serial
-// and sharded. Any change to simulation semantics — event ordering, RNG
-// stream consumption, counter accounting — shows up as a digest mismatch
-// here before it can masquerade as a perf win or silently shift paper
-// results. The serial (sim_shards=1) rows double as the byte-identity pin
-// for the pre-sharding executor; the sharded rows pin the sanctioned
-// divergence (barrier-committed steals, per-worker straggler substreams) so
-// it cannot drift further.
+// Golden-result pins: one 64-bit digest per (scheduler, seed) cell over a
+// fixed chaos workload, for every registered scheduler. Any change to
+// simulation semantics — event ordering, RNG stream consumption, counter
+// accounting — shows up as a digest mismatch here before it can masquerade
+// as a perf win or silently shift paper results.
 //
 // Regenerate intentionally with:  HAWK_UPDATE_GOLDENS=1 ctest -R golden_test
 // and review the fixture diff like any other code change.
@@ -35,7 +31,6 @@ namespace {
 const char* kAllSchedulers[] = {"sparrow", "centralized", "hawk", "hawk-dchoice",
                                 "hawk-spec", "hawk-latebind", "split"};
 constexpr uint64_t kSeeds[] = {1, 2};
-constexpr uint32_t kShardCounts[] = {1, 4};
 
 // The pinned workload lights every layer: partitioned + stealing schedulers,
 // speculation (via hawk-spec), crashes, churn, message loss, jitter and
@@ -63,13 +58,13 @@ Trace GoldenTrace() {
   return trace;
 }
 
-std::string CellKey(const std::string& scheduler, uint64_t seed, uint32_t shards) {
+std::string CellKey(const std::string& scheduler, uint64_t seed) {
   std::ostringstream key;
-  key << scheduler << " seed=" << seed << " shards=" << shards;
+  key << scheduler << " seed=" << seed;
   return key.str();
 }
 
-// Fixture format: `<scheduler> seed=<n> shards=<n> <hex digest>` per line,
+// Fixture format: `<scheduler> seed=<n> <hex digest>` per line,
 // '#' comments and blank lines ignored.
 std::map<std::string, uint64_t> LoadGoldens(const std::string& path) {
   std::map<std::string, uint64_t> goldens;
@@ -84,11 +79,10 @@ std::map<std::string, uint64_t> LoadGoldens(const std::string& path) {
     std::istringstream fields(line);
     std::string scheduler;
     std::string seed;
-    std::string shards;
     std::string digest;
-    fields >> scheduler >> seed >> shards >> digest;
+    fields >> scheduler >> seed >> digest;
     EXPECT_FALSE(digest.empty()) << "malformed golden line: " << line;
-    goldens[scheduler + " " + seed + " " + shards] =
+    goldens[scheduler + " " + seed] =
         std::strtoull(digest.c_str(), nullptr, 16);
   }
   return goldens;
@@ -99,12 +93,8 @@ TEST(GoldenResultTest, EveryRegisteredSchedulerMatchesPinnedDigests) {
   std::map<std::string, uint64_t> actual;
   for (const char* scheduler : kAllSchedulers) {
     for (const uint64_t seed : kSeeds) {
-      for (const uint32_t shards : kShardCounts) {
-        HawkConfig config = GoldenConfig(seed);
-        config.sim_shards = shards;
-        actual[CellKey(scheduler, seed, shards)] =
-            testing::DigestResult(RunExperiment(trace, config, scheduler));
-      }
+      actual[CellKey(scheduler, seed)] =
+          testing::DigestResult(RunExperiment(trace, GoldenConfig(seed), scheduler));
     }
   }
 
@@ -113,8 +103,8 @@ TEST(GoldenResultTest, EveryRegisteredSchedulerMatchesPinnedDigests) {
     std::ofstream out(HAWK_GOLDEN_FILE);
     ASSERT_TRUE(out.is_open()) << "cannot write " << HAWK_GOLDEN_FILE;
     out << "# RunResult digests pinned by golden_test.cc. One line per\n"
-           "# (scheduler, seed, sim_shards) cell over the fixed chaos\n"
-           "# workload. Regenerate: HAWK_UPDATE_GOLDENS=1 ctest -R golden\n";
+           "# (scheduler, seed) cell over the fixed chaos workload.\n"
+           "# Regenerate: HAWK_UPDATE_GOLDENS=1 ctest -R golden\n";
     for (const auto& [key, digest] : actual) {
       char hex[17];
       std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(digest));
@@ -136,41 +126,6 @@ TEST(GoldenResultTest, EveryRegisteredSchedulerMatchesPinnedDigests) {
     EXPECT_EQ(it->second, digest)
         << key << ": simulation semantics changed. If intentional, regenerate "
         << "with HAWK_UPDATE_GOLDENS=1 and justify the fixture diff.";
-  }
-}
-
-// The sharded executor's contract is ONE digest per (scheduler, seed) for
-// every shard count > 1, regardless of pool size: the merge barrier makes
-// commit order a pure function of (due, worker), never of which thread ran
-// which shard or how shards slice the worker space. This test pins that by
-// checking the sim_threads x sim_shards grid against the shards=4 rows the
-// fixture already carries — no new fixture cells, the grid must reproduce
-// the existing ones bit-for-bit. Seed 1 only: the grid multiplies runs, and
-// one seed suffices to catch an ordering bug (seed 2 is covered by the main
-// matrix above).
-TEST(GoldenResultTest, ThreadAndShardGridReproducesPinnedShardedDigests) {
-  const char* update = std::getenv("HAWK_UPDATE_GOLDENS");
-  if (update != nullptr && *update != '\0') {
-    GTEST_SKIP() << "fixture regeneration run";
-  }
-  const Trace trace = GoldenTrace();
-  const std::map<std::string, uint64_t> goldens = LoadGoldens(HAWK_GOLDEN_FILE);
-  constexpr uint32_t kGridShards[] = {2, 8};
-  constexpr uint32_t kGridThreads[] = {1, 2, 4};
-  for (const char* scheduler : kAllSchedulers) {
-    const auto pinned = goldens.find(CellKey(scheduler, /*seed=*/1, /*shards=*/4));
-    ASSERT_NE(pinned, goldens.end()) << "no pinned sharded digest for " << scheduler;
-    for (const uint32_t shards : kGridShards) {
-      for (const uint32_t threads : kGridThreads) {
-        HawkConfig config = GoldenConfig(/*seed=*/1);
-        config.sim_shards = shards;
-        config.sim_threads = threads;
-        EXPECT_EQ(testing::DigestResult(RunExperiment(trace, config, scheduler)),
-                  pinned->second)
-            << scheduler << " shards=" << shards << " threads=" << threads
-            << ": sharded result depends on the shard/thread grid";
-      }
-    }
   }
 }
 
