@@ -293,8 +293,9 @@ Status HawkConfig::Validate() const {
                          "] when straggler_rate > 0, got " +
                          std::to_string(straggler_slowdown_factor));
   }
-  if (!(speculation_threshold >= 0.0)) {
-    return Status::Error("speculation_threshold must be >= 0, got " +
+  if (!(speculation_threshold >= 0.0 && speculation_threshold <= kMaxSpeculationThreshold)) {
+    return Status::Error("speculation_threshold must be in [0, " +
+                         std::to_string(kMaxSpeculationThreshold) + "], got " +
                          std::to_string(speculation_threshold));
   }
   if (retry_budget < 1) {

@@ -32,6 +32,11 @@ enum class ClassifyMode : uint8_t {
 // years (2^63 / 1000 us) before its stretched copy overflowed.
 inline constexpr double kMaxStragglerSlowdownFactor = 1000.0;
 
+// Ceiling on speculation_threshold, for the same reason: the speculation
+// check fires threshold x the estimated task runtime after a start, an int64
+// microsecond delay that a larger factor could overflow.
+inline constexpr double kMaxSpeculationThreshold = 1000.0;
+
 struct HawkConfig {
   uint32_t num_workers = 1500;
 
@@ -140,7 +145,8 @@ struct HawkConfig {
   // Speculative re-execution (> 0 enables): when a running task's elapsed
   // time exceeds speculation_threshold x the job's estimated task runtime,
   // one duplicate copy is launched; the first completion wins and the loser
-  // is counted as speculative waste. 0 disables speculation entirely.
+  // is counted as speculative waste. 0 disables speculation entirely; at
+  // most kMaxSpeculationThreshold.
   double speculation_threshold = 0.0;
 
   // Max retransmits per delivery under message loss. When the budget is

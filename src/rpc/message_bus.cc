@@ -34,7 +34,7 @@ void MessageBus::EnableFaults(const FaultInjection& faults) {
 }
 
 void MessageBus::Send(Address from, Address to, uint32_t type, std::vector<uint8_t> payload) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   HAWK_CHECK(!shutdown_) << "send on stopped bus";
   auto deliver_at = std::chrono::steady_clock::now() + latency_;
   if (faults_enabled_) {
@@ -48,37 +48,64 @@ void MessageBus::Send(Address from, Address to, uint32_t type, std::vector<uint8
           fault_rng_.UniformInt(0, faults_.jitter.count()));
     }
   }
+  // A waiting leader already sleeps toward the head, so it needs waking
+  // only when this message becomes the new head. With no leader waiting,
+  // every delivery thread is a follower or busy in a handler: promote a
+  // follower so the message is watched.
+  const bool new_head = queue_.empty() || deliver_at < queue_.top().deliver_at;
   Pending pending;
   pending.deliver_at = deliver_at;
   pending.seq = next_seq_++;
   pending.message = BusMessage{from, to, type, std::move(payload)};
   queue_.push(std::move(pending));
-  cv_.notify_one();
+  std::condition_variable* wake = nullptr;
+  if (leader_waiting_ && new_head) {
+    wake = &leader_cv_;
+  } else if (!leader_waiting_ && followers_waiting_ > 0) {
+    wake = &follower_cv_;
+  }
+  // Notify after unlocking so the woken thread does not block on mu_ again.
+  lock.unlock();
+  if (wake != nullptr) {
+    wake->notify_one();
+  }
 }
 
 void MessageBus::DeliveryLoop() {
   std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    if (shutdown_) {
-      return;
-    }
-    if (queue_.empty()) {
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
+  while (!shutdown_) {
+    if (queue_.empty() || leader_waiting_) {
+      // Follower: nothing to watch, or the leader already watches the head.
+      ++followers_waiting_;
+      follower_cv_.wait(lock);
+      --followers_waiting_;
+      ++wakeups_;
       continue;
     }
     const auto deliver_at = queue_.top().deliver_at;
     const auto now = std::chrono::steady_clock::now();
     if (deliver_at > now) {
-      cv_.wait_until(lock, deliver_at);
+      // Leader: the only timed waiter. Send re-arms it for an earlier head.
+      leader_waiting_ = true;
+      leader_cv_.wait_until(lock, deliver_at);
+      leader_waiting_ = false;
+      ++wakeups_;
       continue;
     }
     BusMessage message = std::move(const_cast<Pending&>(queue_.top()).message);
     queue_.pop();
+    // A follower is needed only for a next head that is already due; a
+    // future one waits for this thread (or a Send) to come back to the loop.
+    const bool hand_off =
+        followers_waiting_ > 0 && !queue_.empty() && queue_.top().deliver_at <= now;
     const auto it = handlers_.find(message.to);
     HAWK_CHECK(it != handlers_.end()) << "no handler for rpc address " << message.to;
     Handler& handler = it->second;
     ++in_flight_;
     lock.unlock();
+    if (hand_off) {
+      follower_cv_.notify_one();
+    }
     handler(message);
     lock.lock();
     --in_flight_;
@@ -102,7 +129,8 @@ void MessageBus::Shutdown() {
     }
     shutdown_ = true;
   }
-  cv_.notify_all();
+  leader_cv_.notify_all();
+  follower_cv_.notify_all();
   drained_cv_.notify_all();
   for (std::thread& t : threads_) {
     if (t.joinable()) {
@@ -119,6 +147,11 @@ uint64_t MessageBus::MessagesDelivered() const {
 uint64_t MessageBus::MessagesDropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
+}
+
+uint64_t MessageBus::Wakeups() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return wakeups_;
 }
 
 }  // namespace rpc

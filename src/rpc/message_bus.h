@@ -8,6 +8,13 @@
 // messages sent back to the caller's address. One-way messages plus
 // request/response correlation ids cover everything the node monitors and
 // schedulers need.
+//
+// Delivery threads play leader/follower: at most one thread (the leader)
+// sleeps until the head message's deadline; the rest sleep without a
+// timeout until they are handed work. A send wakes a thread only when it
+// must — to re-arm the leader for a new, earlier head, or to promote a
+// follower when no leader is waiting — so each message costs about one
+// thread wake-up instead of one per delivery thread.
 #ifndef HAWK_RPC_MESSAGE_BUS_H_
 #define HAWK_RPC_MESSAGE_BUS_H_
 
@@ -79,6 +86,9 @@ class MessageBus {
 
   uint64_t MessagesDelivered() const;
   uint64_t MessagesDropped() const;
+  // Times a delivery thread returned from a wait (timed, notified or
+  // spurious) — the wake-up cost of the delivery protocol.
+  uint64_t Wakeups() const;
 
  private:
   struct Pending {
@@ -103,7 +113,10 @@ class MessageBus {
   Rng fault_rng_{0};
   uint64_t dropped_ = 0;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  // The leader's timed wait for the head deadline; at most one waiter.
+  std::condition_variable leader_cv_;
+  // Followers' untimed wait for a hand-off.
+  std::condition_variable follower_cv_;
   std::condition_variable drained_cv_;
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue_;
   std::unordered_map<Address, Handler> handlers_;
@@ -111,6 +124,9 @@ class MessageBus {
   uint64_t next_seq_ = 0;
   uint64_t delivered_ = 0;
   uint32_t in_flight_ = 0;
+  bool leader_waiting_ = false;
+  uint32_t followers_waiting_ = 0;
+  uint64_t wakeups_ = 0;
   bool shutdown_ = false;
 };
 

@@ -232,7 +232,11 @@ void NodeMonitor::StartTaskLocked(const TaskMsg& task, bool centrally_placed) {
         task.duration_us,
         std::llround(static_cast<double>(task.duration_us) * config_.straggler_slowdown_factor));
   }
-  running_.push(RunningTask{Clock::now() + std::chrono::microseconds(actual_us), actual_us, task});
+  const Clock::time_point deadline = Clock::now() + std::chrono::microseconds(actual_us);
+  // The executor sleeps toward the earliest deadline; it needs waking only
+  // when this task finishes first (or it sleeps with nothing to run).
+  const bool rearm = running_.empty() || deadline < running_.top().deadline;
+  running_.push(RunningTask{deadline, actual_us, task});
   if (centrally_placed) {
     // §3.7 feedback: the owning (centralized) scheduler re-synchronizes its
     // waiting-time estimate on every start of a task it placed. The echoed
@@ -240,7 +244,9 @@ void NodeMonitor::StartTaskLocked(const TaskMsg& task, bool centrally_placed) {
     const JobRefMsg started = JobRefMsg::TaskStarted(task.job, address_, task.slot);
     bus_->Send(address_, task.owner, kTaskStarted, started.Encode());
   }
-  exec_cv_.notify_all();
+  if (rearm) {
+    exec_cv_.notify_all();
+  }
 }
 
 void NodeMonitor::ResolveRequestLocked(JobId job) {

@@ -307,6 +307,15 @@ TEST(HawkConfigValidateTest, AcceptsDefaultsRejectsNonsense) {
   EXPECT_FALSE(config.Validate().ok());
   config.straggler_slowdown_factor = 1.0;
   EXPECT_FALSE(config.Validate().ok());
+
+  // So would a speculation delay of threshold x a task's estimated runtime.
+  config = HawkConfig();
+  config.speculation_threshold = kMaxSpeculationThreshold;
+  EXPECT_TRUE(config.Validate().ok());
+  config.speculation_threshold = 1e300;
+  EXPECT_FALSE(config.Validate().ok());
+  config.speculation_threshold = -1.0;
+  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(HawkConfigFieldTest, SetConfigFieldCoversEveryName) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/metrics/comparison.h"
 #include "src/runtime/prototype_cluster.h"
@@ -15,6 +16,7 @@
 #include "src/workload/arrivals.h"
 #include "src/workload/google_trace.h"
 #include "src/workload/scaling.h"
+#include "src/workload/trace.h"
 
 // ThreadSanitizer slows bus handlers and executor wakeups by 5-20x, which
 // distorts the injected 200 us RPC latency against the real sleep durations;
@@ -135,6 +137,24 @@ TEST(PrototypeTest, ExternallyRegisteredSchedulerRunsOnThePrototype) {
   const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig("hawk-dchoice"));
   ASSERT_TRUE(result.ok()) << result.status().message();
   CheckPrototypeInvariants(trace, result.value());
+}
+
+TEST(PrototypeTest, ShorterTaskReArmsTheExecutor) {
+  // One node, two slots: while the executor sleeps toward a 300 ms task's
+  // deadline, a 10 ms task starts on the other slot. Starting it must wake
+  // the executor, or the short job finishes only when the long task does.
+  Job long_job;
+  long_job.submit_time = 0;
+  long_job.task_durations = {300'000};
+  Job short_job;
+  short_job.submit_time = 5'000;
+  short_job.task_durations = {10'000};
+  const Trace trace(std::vector<Job>{long_job, short_job});
+  const StatusOr<RunResult> result =
+      runtime::RunPrototype(trace, SmallConfig("sparrow", /*workers=*/1, /*slots=*/2));
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  CheckPrototypeInvariants(trace, result.value());
+  EXPECT_LT(result.value().jobs[1].runtime_us, 100'000);
 }
 
 // --- spec-driven entry point and failure paths ------------------------------
