@@ -45,7 +45,7 @@ class HawkLeastLoadedPolicy : public hawk::SchedulerPolicy {
       const hawk::DurationUs estimate = ctx_->Tracker().EstimateUs(job.id);
       for (uint32_t i = 0; i < job.NumTasks(); ++i) {
         const auto assignment = ctx_->Tracker().TakeNextTask(job.id);
-        const hawk::WorkerId worker = central_->AssignTask(ctx_->Now(), estimate);
+        const hawk::WorkerId worker = central_->AssignTask(ctx_->Now(), job.id, estimate);
         ctx_->PlaceTask(worker, job.id, assignment->task_index, assignment->duration, true);
       }
       return;
@@ -77,13 +77,12 @@ class HawkLeastLoadedPolicy : public hawk::SchedulerPolicy {
 
   void OnTaskStart(hawk::WorkerId worker, const hawk::QueueEntry& task) override {
     if (task.is_long) {
-      central_->OnTaskStart(worker, ctx_->Now(), ctx_->Tracker().EstimateUs(task.job));
+      central_->OnTaskStart(worker, task.job, ctx_->Now());
     }
   }
   void OnTaskFinish(hawk::WorkerId worker, hawk::JobId job, bool is_long) override {
-    (void)job;
     if (is_long) {
-      central_->OnTaskFinish(worker, ctx_->Now());
+      central_->OnTaskFinish(worker, job, ctx_->Now());
     }
   }
 

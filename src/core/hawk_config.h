@@ -56,15 +56,6 @@ struct HawkConfig {
   // from the long jobs' task-seconds share; see PartitionFromMix().
   double short_partition_fraction = 0.17;
 
-  // Capacity-aware partition sizing: when set, the §3.4 split reserves
-  // `short_partition_fraction` of the cluster's *slots* instead of its
-  // workers, so a heterogeneous fleet (big_worker_fraction > 0) gives the
-  // short partition its intended share of capacity, not of machine count.
-  // Off (the default) keeps the historical worker-count split bit for bit;
-  // with uniform capacity the two splits place the boundary on the same
-  // worker, so the flag only changes results on heterogeneous fleets.
-  bool partition_by_slots = false;
-
   // Long/short cutoff on estimated task runtime (§3.3).
   DurationUs cutoff_us = SecondsToUs(1129.0);
   ClassifyMode classify_mode = ClassifyMode::kCutoff;
@@ -170,9 +161,8 @@ struct HawkConfig {
   // config fails loudly instead of silently producing a nonsense run.
   Status Validate() const;
 
-  // Size of the general partition (workers [0, GeneralCount())). Sized by
-  // worker count, or — with partition_by_slots — by slot capacity; either
-  // way the general partition never vanishes entirely.
+  // Size of the general partition (workers [0, GeneralCount())), sized by
+  // worker count; the general partition never vanishes entirely.
   uint32_t GeneralCount() const;
 
   // Per-worker capacity layout for Cluster/WorkerStore construction.

@@ -33,13 +33,13 @@ void HawkPolicy::OnJobArrival(const Job& job, const JobClass& cls) {
 
 void HawkPolicy::ScheduleLongCentralized(const Job& job, const JobClass& cls) {
   (void)cls;
-  // Canonical rounded estimate from the tracker: the same value is replayed
-  // by the start/finish feedback, keeping the backlog accounting exact.
+  // Canonical rounded estimate from the tracker: every task of the job is
+  // charged the same value, which keeps the start discharges exact.
   const DurationUs estimate_us = ctx_->Tracker().EstimateUs(job.id);
   for (uint32_t i = 0; i < job.NumTasks(); ++i) {
     const auto assignment = ctx_->Tracker().TakeNextTask(job.id);
     HAWK_CHECK(assignment.has_value());
-    const WorkerId worker = central_queue_->AssignTask(ctx_->Now(), estimate_us);
+    const WorkerId worker = central_queue_->AssignTask(ctx_->Now(), job.id, estimate_us);
     ctx_->PlaceTask(worker, job.id, assignment->task_index, assignment->duration,
                     /*is_long=*/true);
   }
@@ -61,15 +61,14 @@ void HawkPolicy::OnTaskStart(WorkerId worker, const QueueEntry& task) {
   if (!task.is_long || !config_.use_centralized_long) {
     return;
   }
-  central_queue_->OnTaskStart(worker, ctx_->Now(), ctx_->Tracker().EstimateUs(task.job));
+  central_queue_->OnTaskStart(worker, task.job, ctx_->Now());
 }
 
 void HawkPolicy::OnTaskFinish(WorkerId worker, JobId job, bool is_long) {
-  (void)job;
   if (!is_long || !config_.use_centralized_long) {
     return;
   }
-  central_queue_->OnTaskFinish(worker, ctx_->Now());
+  central_queue_->OnTaskFinish(worker, job, ctx_->Now());
 }
 
 void HawkPolicy::OnTaskLost(JobId job, bool is_long) {
@@ -80,7 +79,7 @@ void HawkPolicy::OnTaskLost(JobId job, bool is_long) {
     const DurationUs estimate_us = ctx_->Tracker().EstimateUs(job);
     const auto assignment = ctx_->Tracker().TakeNextTask(job);
     HAWK_CHECK(assignment.has_value()) << "lost task of job " << job << " not returned";
-    const WorkerId worker = central_queue_->AssignTask(ctx_->Now(), estimate_us);
+    const WorkerId worker = central_queue_->AssignTask(ctx_->Now(), job, estimate_us);
     ctx_->PlaceTask(worker, job, assignment->task_index, assignment->duration,
                     /*is_long=*/true);
     return;
@@ -98,7 +97,7 @@ void HawkLateBindPolicy::ScheduleLongCentralized(const Job& job, const JobClass&
   // eager lane.
   const DurationUs estimate_us = ctx_->Tracker().EstimateUs(job.id);
   for (uint32_t i = 0; i < job.NumTasks(); ++i) {
-    const WorkerId worker = central_queue().AssignTask(ctx_->Now(), estimate_us);
+    const WorkerId worker = central_queue().AssignTask(ctx_->Now(), job.id, estimate_us);
     ctx_->PlaceProbe(worker, job.id, /*is_long=*/true);
   }
 }
@@ -113,7 +112,7 @@ void HawkLateBindPolicy::OnProbeLost(JobId job, bool is_long) {
   // keep the base random re-probe.
   if (is_long && config().use_centralized_long) {
     const DurationUs estimate_us = ctx_->Tracker().EstimateUs(job);
-    const WorkerId worker = central_queue().AssignTask(ctx_->Now(), estimate_us);
+    const WorkerId worker = central_queue().AssignTask(ctx_->Now(), job, estimate_us);
     ctx_->PlaceProbe(worker, job, /*is_long=*/true);
     return;
   }

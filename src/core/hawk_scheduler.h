@@ -44,7 +44,6 @@ class HawkPolicy : public SchedulerPolicy {
   std::string_view Name() const override { return "hawk"; }
 
   const HawkConfig& config() const { return config_; }
-  const SlotWaitingTimeQueue& waiting_times() const { return *central_queue_; }
 
  protected:
   // The long-job lane. Virtual so the "hawk-latebind" variant can swap the
@@ -89,13 +88,12 @@ class HawkSpecPolicy : public HawkPolicy {
 // *probes* on the minimum-wait workers instead of binding tasks eagerly, so
 // the driver's late-binding request machinery (§3.5) hands out tasks in
 // probe-service order. The waiting-time accounting is unchanged — one
-// AssignTask charge per probe, discharged when the granted task starts on
-// that worker, which the per-worker FIFO protocol covers because a worker
-// serves its probes in placement order. Lost probes are replaced through the
-// waiting-time queue (not a random re-probe) so the min-wait property
-// survives faults. On the prototype runtime the variant degrades to the
-// eager centralized backend, like every placement nuance that needs live
-// central state (see RuntimeShape).
+// AssignTask charge per probe, discharged when a task of the same job starts
+// on that worker. Lost probes are replaced through the waiting-time queue
+// (not a random re-probe) so the min-wait property survives faults. On the
+// prototype runtime the variant degrades to the eager centralized backend,
+// like every placement nuance that needs live central state (see
+// RuntimeShape).
 class HawkLateBindPolicy : public HawkPolicy {
  public:
   using HawkPolicy::HawkPolicy;

@@ -124,9 +124,9 @@ struct ProbeMsg {
 };
 
 // kTaskRequest / kTaskStarted / kTaskCancel: job + the sender's address.
-// For kTaskStarted, `slot` echoes the lane the backend charged at placement
-// (TaskMsg::slot), so the waiting-time feedback is routed to the exact lane
-// regardless of bus delivery order; unused (0) for the other types.
+// For kTaskStarted, `slot` echoes the placement's TaskMsg::slot, which tells
+// the backend the worker whose waiting-time charge the start discharges;
+// unused (0) for the other types.
 struct JobRefMsg {
   JobId job = 0;
   rpc::Address sender = 0;
@@ -170,10 +170,11 @@ struct JobRefMsg {
   }
 };
 
-// kTaskGrant / kTaskPlace / kTaskDone. For kTaskPlace, `slot` is the global
-// slot index (§3.7 lane) the backend's waiting-time queue charged — the
-// receiving monitor validates it owns the slot. Grants and completions have
-// no slot affinity (the monitor's slots share one FIFO queue) and leave it 0.
+// kTaskGrant / kTaskPlace / kTaskDone. For kTaskPlace, `slot` is a global
+// slot index of the worker the backend's waiting-time queue chose — the
+// receiving monitor validates it owns the slot, and kTaskDone echoes it back.
+// Grants have no slot affinity (the monitor's slots share one FIFO queue)
+// and leave it 0.
 struct TaskMsg {
   JobId job = 0;
   TaskIndex task_index = 0;
@@ -194,8 +195,8 @@ struct TaskMsg {
     m.owner = owner;
     return m;
   }
-  // kTaskPlace: direct placement by the centralized backend into the §3.7
-  // lane (`slot`) its waiting-time queue charged.
+  // kTaskPlace: direct placement by the centralized backend on the worker
+  // owning `slot`.
   static TaskMsg Place(JobId job, TaskIndex task_index, int64_t duration_us, bool is_long,
                        rpc::Address owner, uint32_t slot) {
     TaskMsg m = Grant(job, task_index, duration_us, is_long, owner);

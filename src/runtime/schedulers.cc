@@ -415,6 +415,7 @@ CentralBackend::CentralBackend(rpc::Address address, const Cluster* layout,
                                const FaultRecoveryPolicy& faults, rpc::MessageBus* bus,
                                CompletionSink* sink)
     : address_(address),
+      layout_(layout),
       faults_(faults),
       bus_(bus),
       sink_(sink),
@@ -424,9 +425,6 @@ CentralBackend::CentralBackend(rpc::Address address, const Cluster* layout,
   HAWK_CHECK(layout != nullptr);
   HAWK_CHECK(bus != nullptr);
   HAWK_CHECK(sink != nullptr);
-  lane_charges_.resize(waiting_.NumLanes());
-  lane_running_.assign(waiting_.NumLanes(), 0);
-  lane_deferred_finishes_.assign(waiting_.NumLanes(), 0);
 }
 
 void CentralBackend::Start() {
@@ -434,11 +432,12 @@ void CentralBackend::Start() {
 }
 
 void CentralBackend::PlaceTaskLocked(JobId job, JobState& state, uint32_t task_index) {
-  SlotId lane = 0;
-  const WorkerId worker = waiting_.AssignTask(NowUs(), state.estimate_us, &lane);
-  lane_charges_[lane].push_back(state.estimate_us);
+  const WorkerId worker = waiting_.AssignTask(NowUs(), job, state.estimate_us);
+  // Any slot of the worker routes the placement; the monitors echo it back
+  // in their start/finish reports, which is how feedback names the worker.
   const TaskMsg place = TaskMsg::Place(job, task_index, state.durations_us[task_index],
-                                       state.is_long, address_, lane);
+                                       state.is_long, address_,
+                                       layout_->workers().SlotBegin(worker));
   state.tasks[task_index].placed_at = std::chrono::steady_clock::now();
   if (faults_.enabled) {
     // The deadline budgets the run itself plus the adaptive detection
@@ -477,43 +476,15 @@ void CentralBackend::HandleMessage(const rpc::BusMessage& message) {
     }
     case kTaskStarted: {
       const JobRefMsg started = JobRefMsg::Decode(message.payload);
-      // Lane-routed feedback: the monitor echoes the lane charged at
-      // placement, so delivery reorderings on the multi-threaded bus cannot
-      // misattribute the estimate (see slot_waiting_queue.h). The estimate
-      // comes from the lane's charge FIFO, never from jobs_ — a short
-      // task's kTaskDone handler may have run first and erased the record.
-      HAWK_CHECK_LT(started.slot, lane_charges_.size());
-      std::deque<int64_t>& charges = lane_charges_[started.slot];
-      HAWK_CHECK(!charges.empty()) << "start on lane " << started.slot
-                                   << " with no assignment charged";
-      const int64_t estimate_us = charges.front();
-      charges.pop_front();
-      waiting_.OnTaskStartLane(started.slot, NowUs(), estimate_us);
-      ++lane_running_[started.slot];
-      // Replay a finish that overtook this start, so the lane is never left
-      // marked executing with its completion already consumed.
-      if (lane_deferred_finishes_[started.slot] > 0) {
-        --lane_deferred_finishes_[started.slot];
-        --lane_running_[started.slot];
-        waiting_.OnTaskFinishLane(started.slot, NowUs());
-      }
+      waiting_.OnTaskStart(layout_->WorkerOfSlot(started.slot), started.job, NowUs());
       break;
     }
     case kTaskDone: {
       const TaskMsg done = TaskMsg::Decode(message.payload);
-      // Lane feedback first, and unconditionally: whichever copy finished
-      // did start on the echoed lane, so the running count and waiting-time
-      // estimate come back down even when the completion is a duplicate at
-      // the job level.
-      HAWK_CHECK_LT(done.slot, lane_running_.size());
-      if (lane_running_[done.slot] > 0) {
-        --lane_running_[done.slot];
-        waiting_.OnTaskFinishLane(done.slot, NowUs());
-      } else {
-        // This task's own kTaskStarted handler has not run yet; park the
-        // finish for it to replay.
-        ++lane_deferred_finishes_[done.slot];
-      }
+      // Feedback first, and unconditionally: whichever copy finished did
+      // start on that worker, so its lane comes back down even when the
+      // completion is a duplicate at the job level.
+      waiting_.OnTaskFinish(layout_->WorkerOfSlot(done.slot), done.job, NowUs());
       const auto it = jobs_.find(done.job);
       if (it == jobs_.end()) {
         // The job finished and was garbage-collected; a re-dispatched copy
@@ -560,10 +531,8 @@ void CentralBackend::ReapOverdue() {
       if (!state.tasks[i].done && now > state.tasks[i].deadline) {
         // Presumed dead with its node; place a fresh copy through the
         // waiting-time queue (which also re-arms the deadline, backed off
-        // by the bumped attempt count). The dead copy's lane charge stays
-        // in its FIFO — per-lane totals remain self-consistent because
-        // charges and starts pair up in lane order, and a never-started
-        // charge only pads that lane's estimate.
+        // by the bumped attempt count). A dead copy that never started
+        // leaves its charge behind; it only pads that lane's estimate.
         ++state.tasks[i].attempts;
         if (state.tasks[i].attempts > faults_.retry_budget) {
           ++retries_suppressed_;

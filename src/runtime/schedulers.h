@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -215,8 +214,10 @@ class DistributedFrontend {
 
 // The centralized backend: places every task of a submitted job on the
 // minimum-waiting slot lane of the tracked partition (§3.7), via the same
-// SlotWaitingTimeQueue the simulator's policies use; task start/finish
-// reports from the node monitors keep the estimates synchronized.
+// SlotWaitingTimeQueue, driven by the same (worker, job) start/finish
+// protocol, as the simulator's policies. The node monitors' task start and
+// finish reports keep the estimates synchronized; the queue itself absorbs
+// the bus reordering a finish ahead of its own start.
 class CentralBackend {
  public:
   // Tracks the general partition of `layout` — the whole cluster when the
@@ -266,6 +267,7 @@ class CentralBackend {
   void PlaceTaskLocked(JobId job, JobState& state, uint32_t task_index);
 
   const rpc::Address address_;
+  const Cluster* layout_;
   const FaultRecoveryPolicy faults_;
   rpc::MessageBus* bus_;
   CompletionSink* sink_;
@@ -278,22 +280,6 @@ class CentralBackend {
   // behind their lane's backlog, and that wait is genuine, not failure.
   AdaptiveTimeout rto_;
   std::unordered_map<JobId, JobState> jobs_;
-  // Per-lane reorder absorption for the multi-threaded bus, where a short
-  // task's kTaskDone handler can run before its own kTaskStarted handler
-  // (and before the job record would be consulted):
-  //   - lane_charges_: estimates charged at assignment, discharged by
-  //     starts in per-lane FIFO order. Charges always precede placements,
-  //     so a lane's deque is never empty when its start arrives, whatever
-  //     the delivery order; if two same-lane tasks' starts swap, their
-  //     estimates swap with them — per-lane totals stay exact.
-  //   - lane_running_ / lane_deferred_finishes_: starts-minus-finishes
-  //     applied to the waiting queue, and finishes that arrived before any
-  //     matching start. An early finish is parked and replayed right after
-  //     the start lands, so a lane can never end up marked executing with
-  //     no finish coming.
-  std::vector<std::deque<int64_t>> lane_charges_;
-  std::vector<uint32_t> lane_running_;
-  std::vector<uint32_t> lane_deferred_finishes_;
   std::chrono::steady_clock::time_point epoch_;
   uint64_t jobs_handled_ = 0;
   uint64_t tasks_re_dispatched_ = 0;

@@ -27,12 +27,11 @@ class CentralizedPolicy : public SchedulerPolicy {
   // Node-monitor feedback keeps the waiting-time view synchronized: the
   // baseline tracks every task (it schedules everything centrally).
   void OnTaskStart(WorkerId worker, const QueueEntry& task) override {
-    queue_->OnTaskStart(worker, ctx_->Now(), ctx_->Tracker().EstimateUs(task.job));
+    queue_->OnTaskStart(worker, task.job, ctx_->Now());
   }
   void OnTaskFinish(WorkerId worker, JobId job, bool is_long) override {
-    (void)job;
     (void)is_long;
-    queue_->OnTaskFinish(worker, ctx_->Now());
+    queue_->OnTaskFinish(worker, job, ctx_->Now());
   }
 
   // Every task is centrally placed, so every lost task is re-placed through
@@ -41,7 +40,7 @@ class CentralizedPolicy : public SchedulerPolicy {
     const DurationUs estimate_us = ctx_->Tracker().EstimateUs(job);
     const auto assignment = ctx_->Tracker().TakeNextTask(job);
     HAWK_CHECK(assignment.has_value()) << "lost task of job " << job << " not returned";
-    const WorkerId worker = queue_->AssignTask(ctx_->Now(), estimate_us);
+    const WorkerId worker = queue_->AssignTask(ctx_->Now(), job, estimate_us);
     ctx_->PlaceTask(worker, job, assignment->task_index, assignment->duration, is_long);
   }
 
@@ -57,8 +56,6 @@ class CentralizedPolicy : public SchedulerPolicy {
   }
 
   std::string_view Name() const override { return "centralized"; }
-
-  const SlotWaitingTimeQueue& waiting_times() const { return *queue_; }
 
  private:
   std::unique_ptr<SlotWaitingTimeQueue> queue_;

@@ -14,7 +14,7 @@ void SplitClusterPolicy::OnJobArrival(const Job& job, const JobClass& cls) {
     for (uint32_t i = 0; i < job.NumTasks(); ++i) {
       const auto assignment = ctx_->Tracker().TakeNextTask(job.id);
       HAWK_CHECK(assignment.has_value());
-      const WorkerId worker = queue_->AssignTask(ctx_->Now(), estimate_us);
+      const WorkerId worker = queue_->AssignTask(ctx_->Now(), job.id, estimate_us);
       ctx_->PlaceTask(worker, job.id, assignment->task_index, assignment->duration,
                       /*is_long=*/true);
     }

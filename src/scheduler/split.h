@@ -34,14 +34,13 @@ class SplitClusterPolicy : public SchedulerPolicy {
     if (!task.is_long) {
       return;
     }
-    queue_->OnTaskStart(worker, ctx_->Now(), ctx_->Tracker().EstimateUs(task.job));
+    queue_->OnTaskStart(worker, task.job, ctx_->Now());
   }
   void OnTaskFinish(WorkerId worker, JobId job, bool is_long) override {
-    (void)job;
     if (!is_long) {
       return;
     }
-    queue_->OnTaskFinish(worker, ctx_->Now());
+    queue_->OnTaskFinish(worker, job, ctx_->Now());
   }
 
   // Lost long tasks re-place through the long partition's waiting-time
@@ -52,7 +51,7 @@ class SplitClusterPolicy : public SchedulerPolicy {
       const DurationUs estimate_us = ctx_->Tracker().EstimateUs(job);
       const auto assignment = ctx_->Tracker().TakeNextTask(job);
       HAWK_CHECK(assignment.has_value()) << "lost task of job " << job << " not returned";
-      const WorkerId worker = queue_->AssignTask(ctx_->Now(), estimate_us);
+      const WorkerId worker = queue_->AssignTask(ctx_->Now(), job, estimate_us);
       ctx_->PlaceTask(worker, job, assignment->task_index, assignment->duration,
                       /*is_long=*/true);
       return;

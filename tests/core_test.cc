@@ -1,18 +1,22 @@
 // Tests for the Hawk core mechanisms: classifier and noisy estimator,
 // partition sizing rule, waiting-time priority queue (ordering, decay,
-// start/finish feedback, tie-breaking), stealing policy, probe placement.
+// start/finish feedback, tie-breaking) and its slot-aware (worker, job)
+// feedback protocol, stealing policy, probe placement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "src/cluster/cluster.h"
 #include "src/core/estimator.h"
 #include "src/core/hawk_config.h"
 #include "src/core/job_classifier.h"
 #include "src/core/partition.h"
 #include "src/core/probe_placement.h"
+#include "src/core/slot_waiting_queue.h"
 #include "src/core/stealing_policy.h"
 #include "src/core/waiting_time_queue.h"
 #include "src/workload/trace_stats.h"
@@ -93,53 +97,14 @@ TEST(HawkConfigTest, GeneralCountRespectsPartitionToggle) {
   config.use_partition = true;
   config.short_partition_fraction = 0.0;
   EXPECT_EQ(config.GeneralCount(), 100u);
-}
-
-TEST(HawkConfigTest, PartitionBySlotsMatchesWorkerSplitOnUniformFleets) {
-  // With uniform capacity, the slot-share split lands on the same worker as
-  // the worker-count split — the flag changes nothing (incl. at slots > 1).
-  for (const uint32_t slots : {1u, 2u, 4u}) {
-    for (const double fraction : {0.0, 0.02, 0.17, 0.5}) {
-      HawkConfig config;
-      config.num_workers = 100;
-      config.slots_per_worker = slots;
-      config.short_partition_fraction = fraction;
-      const uint32_t by_workers = config.GeneralCount();
-      config.partition_by_slots = true;
-      EXPECT_EQ(config.GeneralCount(), by_workers) << slots << " slots, fraction " << fraction;
-    }
-  }
-}
-
-TEST(HawkConfigTest, PartitionBySlotsFollowsCapacityOnHeterogeneousFleets) {
-  // 10 workers, every other one upgraded to 4 slots -> 25 slots total, laid
-  // out 1,4,1,4,... The short partition is the id suffix; reserving 20% of
-  // capacity must stop before the big worker at id 7.
-  HawkConfig config;
-  config.num_workers = 10;
-  config.slots_per_worker = 1;
-  config.big_worker_fraction = 0.5;
-  config.big_worker_slots = 4;
-  config.short_partition_fraction = 0.2;
-  // Worker split: floor(10 * 0.2) = 2 short workers.
-  EXPECT_EQ(config.GeneralCount(), 8u);
-  config.partition_by_slots = true;
-  // Slot split: target floor(25 * 0.2) = 5 short slots. Suffix slots from
-  // the top: worker 9 (big, 4) = 4, + worker 8 (small, 1) = 5, + worker 7
-  // (big, 4) would exceed -> general partition is [0, 8). Same boundary
-  // here, but the *reason* is capacity: with fraction 0.3 the worker split
-  // gives 7 while the slot split must stop at 8 (7 short slots > target 7?
-  // target floor(25*0.3)=7, suffix 4+1=5, +4=9 > 7 -> still [0, 8)).
-  EXPECT_EQ(config.GeneralCount(), 8u);
-  config.short_partition_fraction = 0.3;
-  EXPECT_EQ(config.GeneralCount(), 8u);
-  config.partition_by_slots = false;
-  EXPECT_EQ(config.GeneralCount(), 7u);
-  // The flag is a first-class sweepable field.
-  HawkConfig swept;
-  ASSERT_TRUE(SetConfigField(&swept, "partition_by_slots", 1.0).ok());
-  EXPECT_TRUE(swept.partition_by_slots);
-  EXPECT_TRUE(swept.Validate().ok());
+  // The split counts workers, not slots, on a heterogeneous fleet too: 10
+  // workers laid out 1,4,1,4,... slots, 30% short -> 3 short workers.
+  HawkConfig hetero;
+  hetero.num_workers = 10;
+  hetero.big_worker_fraction = 0.5;
+  hetero.big_worker_slots = 4;
+  hetero.short_partition_fraction = 0.3;
+  EXPECT_EQ(hetero.GeneralCount(), 7u);
 }
 
 // --- Partition sizing ---------------------------------------------------------
@@ -258,6 +223,110 @@ TEST(WaitingTimeQueueTest, MatchesNaiveReferenceModel) {
       }
     }
   }
+}
+
+// --- SlotWaitingTimeQueue ------------------------------------------------------
+
+SlotSpec UniformSlots(uint32_t slots) {
+  SlotSpec spec;
+  spec.slots_per_worker = slots;
+  return spec;
+}
+
+TEST(SlotWaitingTimeQueueTest, SingleSlotFleetMatchesWaitingTimeQueue) {
+  // Randomized: on one-slot workers, lanes are workers, so the same
+  // assign/start/finish calls must pick exactly the workers the plain
+  // per-worker queue picks — whatever order a worker's tasks start in.
+  const uint32_t n = 13;
+  const Cluster cluster(n, n, UniformSlots(1));
+  SlotWaitingTimeQueue slots(cluster, n);
+  WaitingTimeQueue plain(n);
+  const auto estimate = [](JobId job) { return static_cast<DurationUs>(10 * (job + 1)); };
+  std::vector<std::pair<WorkerId, JobId>> assigned;  // Not yet started.
+  std::vector<std::pair<WorkerId, JobId>> running;
+  Rng rng(5);
+  SimTime now = 0;
+  for (int step = 0; step < 3000; ++step) {
+    now += static_cast<SimTime>(rng.NextBounded(40));
+    const uint64_t op = rng.NextBounded(3);
+    if (op == 1 && !assigned.empty()) {
+      const size_t i = rng.NextBounded(assigned.size());
+      const auto [worker, job] = assigned[i];
+      assigned.erase(assigned.begin() + static_cast<std::ptrdiff_t>(i));
+      slots.OnTaskStart(worker, job, now);
+      plain.OnTaskStart(worker, now, estimate(job));
+      running.emplace_back(worker, job);
+    } else if (op == 2 && !running.empty()) {
+      const size_t i = rng.NextBounded(running.size());
+      const auto [worker, job] = running[i];
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+      slots.OnTaskFinish(worker, job, now);
+      plain.OnTaskFinish(worker, now);
+    } else {
+      const auto job = static_cast<JobId>(rng.NextBounded(6));
+      const WorkerId worker = slots.AssignTask(now, job, estimate(job));
+      ASSERT_EQ(worker, plain.AssignTask(now, estimate(job))) << "step " << step;
+      assigned.emplace_back(worker, job);
+    }
+  }
+}
+
+TEST(SlotWaitingTimeQueueTest, OutOfOrderStartsDischargeTheirOwnCharges) {
+  // Two workers x 2 slots: lanes 0,1 on worker 0 and 2,3 on worker 1.
+  const Cluster cluster(2, 2, UniformSlots(2));
+  SlotWaitingTimeQueue queue(cluster, 2);
+  const JobId a = 1;
+  const JobId b = 2;
+  const JobId c = 3;
+  EXPECT_EQ(queue.AssignTask(0, a, 100), 0u);  // Lane 0.
+  EXPECT_EQ(queue.AssignTask(0, b, 500), 0u);  // Lane 1.
+  EXPECT_EQ(queue.AssignTask(0, c, 50), 1u);   // Lanes 2 and 3.
+  EXPECT_EQ(queue.AssignTask(0, c, 50), 1u);
+  // B starts first: it must discharge its own 500, not A's 100 (which would
+  // underflow lane 0).
+  queue.OnTaskStart(0, b, 0);
+  queue.OnTaskStart(0, a, 0);
+  queue.OnTaskFinish(0, a, 100);
+  queue.OnTaskFinish(0, b, 100);
+  // Both charges are gone and both lanes idle, so worker 0 (waiting 0) beats
+  // worker 1 (backlog 50 per lane) for two tasks of 60; a leftover charge or
+  // a lane left executing would send the second task to worker 1.
+  EXPECT_EQ(queue.AssignTask(100, 4, 60), 0u);
+  EXPECT_EQ(queue.AssignTask(100, 4, 60), 0u);
+  EXPECT_EQ(queue.AssignTask(100, 4, 60), 1u);
+}
+
+TEST(SlotWaitingTimeQueueTest, FinishBeforeStartLeavesLaneIdle) {
+  const Cluster cluster(2, 2, UniformSlots(1));
+  SlotWaitingTimeQueue queue(cluster, 2);
+  EXPECT_EQ(queue.AssignTask(0, 1, 100), 0u);
+  EXPECT_EQ(queue.AssignTask(0, 2, 50), 1u);
+  // The bus delivered job 1's finish ahead of its start.
+  queue.OnTaskFinish(0, 1, 10);
+  queue.OnTaskStart(0, 1, 20);
+  // The replayed finish leaves worker 0 idle (waiting 0 < worker 1's 50); a
+  // lane left executing would wait until t=120 and lose to worker 1.
+  EXPECT_EQ(queue.AssignTask(30, 3, 10), 0u);
+}
+
+TEST(SlotWaitingTimeQueueTest, HeterogeneousFleetFillsBigWorkersLanes) {
+  // Four workers, half upgraded to 4 slots: capacities 1,4,1,4. Equal
+  // never-started tasks fill every lane once per round, so each worker
+  // receives as many tasks per round as it has slots.
+  SlotSpec spec;
+  spec.slots_per_worker = 1;
+  spec.big_worker_fraction = 0.5;
+  spec.big_worker_slots = 4;
+  const Cluster cluster(4, 4, spec);
+  SlotWaitingTimeQueue queue(cluster, 4);
+  std::vector<uint32_t> per_worker(4, 0);
+  for (int i = 0; i < 2 * 10; ++i) {
+    ++per_worker[queue.AssignTask(0, static_cast<JobId>(i), 100)];
+  }
+  for (WorkerId w = 0; w < 4; ++w) {
+    EXPECT_EQ(per_worker[w], 2 * cluster.workers().Slots(w)) << "worker " << w;
+  }
+  EXPECT_EQ(cluster.workers().Slots(1), 4u);
 }
 
 // --- Probe placement -----------------------------------------------------------

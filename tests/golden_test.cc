@@ -1,8 +1,9 @@
-// Golden-result pins: one 64-bit digest per (scheduler, seed) cell over a
-// fixed chaos workload, for every registered scheduler. Any change to
-// simulation semantics — event ordering, RNG stream consumption, counter
-// accounting — shows up as a digest mismatch here before it can masquerade
-// as a perf win or silently shift paper results.
+// Golden-result pins: one 64-bit digest per (scheduler, seed, slots) cell
+// over a fixed chaos workload, for every registered scheduler, on one-slot
+// and on 4-slot workers. Any change to simulation semantics — event
+// ordering, RNG stream consumption, counter accounting — shows up as a
+// digest mismatch here before it can masquerade as a perf win or silently
+// shift paper results.
 //
 // Regenerate intentionally with:  HAWK_UPDATE_GOLDENS=1 ctest -R golden_test
 // and review the fixture diff like any other code change.
@@ -31,6 +32,9 @@ namespace {
 const char* kAllSchedulers[] = {"sparrow", "centralized", "hawk", "hawk-dchoice",
                                 "hawk-spec", "hawk-latebind", "split"};
 constexpr uint64_t kSeeds[] = {1, 2};
+// Multi-slot cells run the same config on 4-slot workers; one-slot cells keep
+// their historical keys.
+constexpr uint32_t kSlotsPerWorker[] = {1, 4};
 
 // The pinned workload lights every layer: partitioned + stealing schedulers,
 // speculation (via hawk-spec), crashes, churn, message loss, jitter and
@@ -58,14 +62,18 @@ Trace GoldenTrace() {
   return trace;
 }
 
-std::string CellKey(const std::string& scheduler, uint64_t seed) {
+std::string CellKey(const std::string& scheduler, uint64_t seed, uint32_t slots) {
   std::ostringstream key;
   key << scheduler << " seed=" << seed;
+  if (slots != 1) {
+    key << " slots=" << slots;
+  }
   return key.str();
 }
 
-// Fixture format: `<scheduler> seed=<n> <hex digest>` per line,
-// '#' comments and blank lines ignored.
+// Fixture format: `<scheduler> seed=<n>[ slots=<s>] <hex digest>` per line
+// (the key is everything before the last field), '#' comments and blank
+// lines ignored.
 std::map<std::string, uint64_t> LoadGoldens(const std::string& path) {
   std::map<std::string, uint64_t> goldens;
   std::ifstream in(path);
@@ -76,14 +84,13 @@ std::map<std::string, uint64_t> LoadGoldens(const std::string& path) {
     if (line.empty() || line[0] == '#') {
       continue;
     }
-    std::istringstream fields(line);
-    std::string scheduler;
-    std::string seed;
-    std::string digest;
-    fields >> scheduler >> seed >> digest;
-    EXPECT_FALSE(digest.empty()) << "malformed golden line: " << line;
-    goldens[scheduler + " " + seed] =
-        std::strtoull(digest.c_str(), nullptr, 16);
+    const size_t split = line.rfind(' ');
+    EXPECT_TRUE(split != std::string::npos && split > 0 && split + 1 < line.size())
+        << "malformed golden line: " << line;
+    if (split == std::string::npos) {
+      continue;
+    }
+    goldens[line.substr(0, split)] = std::strtoull(line.c_str() + split + 1, nullptr, 16);
   }
   return goldens;
 }
@@ -93,8 +100,12 @@ TEST(GoldenResultTest, EveryRegisteredSchedulerMatchesPinnedDigests) {
   std::map<std::string, uint64_t> actual;
   for (const char* scheduler : kAllSchedulers) {
     for (const uint64_t seed : kSeeds) {
-      actual[CellKey(scheduler, seed)] =
-          testing::DigestResult(RunExperiment(trace, GoldenConfig(seed), scheduler));
+      for (const uint32_t slots : kSlotsPerWorker) {
+        HawkConfig config = GoldenConfig(seed);
+        config.slots_per_worker = slots;
+        actual[CellKey(scheduler, seed, slots)] =
+            testing::DigestResult(RunExperiment(trace, config, scheduler));
+      }
     }
   }
 
