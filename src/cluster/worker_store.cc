@@ -21,17 +21,22 @@ WorkerStore::WorkerStore(uint32_t num_workers, const SlotSpec& spec) {
   queues_.resize(num_workers);
   busy_accum_us_.assign(num_workers, 0);
 
-  uniform_ = spec.Uniform() || spec.BigWorkerCount(num_workers) == 0;
-  uniform_slots_ = spec.slots_per_worker;
-  if (!uniform_) {
+  const bool uniform = spec.Uniform() || spec.BigWorkerCount(num_workers) == 0;
+  const uint32_t uniform_slots = spec.slots_per_worker;
+  tables_ = !uniform || (uniform_slots & (uniform_slots - 1)) != 0;
+  if (tables_) {
     slot_begin_.resize(static_cast<size_t>(num_workers) + 1);
+  } else {
+    while ((1u << slot_shift_) < uniform_slots) {
+      ++slot_shift_;
+    }
   }
   uint64_t next_slot = 0;
   for (uint32_t w = 0; w < num_workers; ++w) {
-    const uint32_t s = uniform_ ? spec.slots_per_worker : spec.SlotsOf(w, num_workers);
+    const uint32_t s = uniform ? uniform_slots : spec.SlotsOf(w, num_workers);
     slots_[w] = static_cast<uint16_t>(s);
     free_[w] = static_cast<uint16_t>(s);
-    if (!uniform_) {
+    if (tables_) {
       slot_begin_[w] = static_cast<SlotId>(next_slot);
     }
     next_slot += s;
@@ -41,7 +46,7 @@ WorkerStore::WorkerStore(uint32_t num_workers, const SlotSpec& spec) {
   // steal victim selection); a layout that overflows it is a config error.
   HAWK_CHECK_LE(total_slots_, static_cast<uint64_t>(kInvalidWorker))
       << "total slot count overflows the 32-bit slot-index space";
-  if (!uniform_) {
+  if (tables_) {
     slot_begin_[num_workers] = static_cast<SlotId>(total_slots_);
     slot_to_worker_.resize(total_slots_);
     for (uint32_t w = 0; w < num_workers; ++w) {
@@ -53,22 +58,12 @@ WorkerStore::WorkerStore(uint32_t num_workers, const SlotSpec& spec) {
 }
 
 size_t WorkerStore::StealableGroupBegin(WorkerId id) const {
-  // O(1) screening on the composition counters: the group is made of short
-  // entries, and (unless some occupied slot holds long work) needs a long
-  // entry ahead of it in the queue.
+  // Scan [current work, queue...]; the group starts at the first short entry
+  // observed after at least one long entry.
   const size_t i = Check(id);
   const RingBuffer<QueueEntry>& queue = queues_[i];
   const size_t size = queue.Size();
-  if (queue_short_[i] == 0) {
-    return size;
-  }
-  const bool occupied_long = occupied_long_[i] > 0;
-  if (!occupied_long && queue_long_[i] == 0) {
-    return size;
-  }
-  // Scan [current work, queue...]; the group starts at the first short entry
-  // observed after at least one long entry.
-  bool seen_long = occupied_long;
+  bool seen_long = occupied_long_[i] > 0;
   for (size_t k = 0; k < size; ++k) {
     if (queue.At(k).is_long) {
       seen_long = true;
@@ -81,11 +76,7 @@ size_t WorkerStore::StealableGroupBegin(WorkerId id) const {
   return size;
 }
 
-size_t WorkerStore::StealGroupInto(WorkerId victim, WorkerId thief) {
-  // Self-stealing would re-enqueue entries onto the queue being scanned and
-  // never terminate; a policy that fails to exclude the thief from its
-  // victim sample must fail fast instead.
-  HAWK_CHECK_NE(victim, thief) << "worker " << thief << " stealing from itself";
+size_t WorkerStore::MoveStealableGroup(WorkerId victim, WorkerId thief) {
   const size_t begin = StealableGroupBegin(victim);
   const RingBuffer<QueueEntry>& queue = queues_[victim];
   if (begin >= queue.Size()) {
@@ -102,6 +93,9 @@ size_t WorkerStore::StealGroupInto(WorkerId victim, WorkerId thief) {
 
 std::vector<QueueEntry> WorkerStore::ExtractStealableGroup(WorkerId id) {
   std::vector<QueueEntry> stolen;
+  if (!MayHoldStealableGroup(Check(id))) {
+    return stolen;
+  }
   const size_t begin = StealableGroupBegin(id);
   const RingBuffer<QueueEntry>& queue = queues_[id];
   if (begin >= queue.Size()) {

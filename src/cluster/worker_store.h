@@ -120,11 +120,11 @@ class WorkerStore {
   // == TotalSlots().
   SlotId SlotBegin(WorkerId id) const {
     HAWK_CHECK_LE(id, slots_.size());
-    return uniform_ ? static_cast<SlotId>(id * uniform_slots_) : slot_begin_[id];
+    return tables_ ? slot_begin_[id] : id << slot_shift_;
   }
   WorkerId WorkerOfSlot(SlotId slot) const {
     HAWK_CHECK_LT(slot, total_slots_);
-    return uniform_ ? slot / uniform_slots_ : slot_to_worker_[slot];
+    return tables_ ? slot_to_worker_[slot] : slot >> slot_shift_;
   }
 
   // --- queue -----------------------------------------------------------
@@ -266,7 +266,13 @@ class WorkerStore {
 
   // Moves the stealable group, if any, straight onto `thief`'s queue (no
   // intermediate buffer) and returns the number of entries moved.
-  size_t StealGroupInto(WorkerId victim, WorkerId thief);
+  size_t StealGroupInto(WorkerId victim, WorkerId thief) {
+    // Self-stealing would re-enqueue entries onto the queue being scanned
+    // and never terminate; a policy that fails to exclude the thief from its
+    // victim sample must fail fast instead.
+    HAWK_CHECK_NE(victim, thief) << "worker " << thief << " stealing from itself";
+    return MayHoldStealableGroup(Check(victim)) ? MoveStealableGroup(victim, thief) : 0;
+  }
 
   // Removes and returns the stealable group (empty vector when there is no
   // head-of-line blocking to relieve). Compatibility path for tests and
@@ -275,7 +281,7 @@ class WorkerStore {
 
   // True iff the stealable group is non-empty.
   bool HasStealableGroup(WorkerId id) const {
-    return StealableGroupBegin(id) < queues_[id].Size();
+    return MayHoldStealableGroup(Check(id)) && StealableGroupBegin(id) < queues_[id].Size();
   }
 
   // --- accounting ---------------------------------------------------------
@@ -303,9 +309,20 @@ class WorkerStore {
     return id;
   }
 
+  // O(1) screening on the composition counters, before the queue itself is
+  // touched: the group is made of short entries, and (unless some occupied
+  // slot holds long work) needs a long entry ahead of it in the queue.
+  bool MayHoldStealableGroup(size_t i) const {
+    return queue_short_[i] > 0 && (occupied_long_[i] > 0 || queue_long_[i] > 0);
+  }
+
   // Index (FIFO position) of the first entry of the stealable group, or the
-  // queue size if none. Screens on the composition counters before scanning.
+  // queue size if none. Scans the queue: callers screen with
+  // MayHoldStealableGroup first.
   size_t StealableGroupBegin(WorkerId id) const;
+
+  // StealGroupInto past the screen: scans and moves the group.
+  size_t MoveStealableGroup(WorkerId victim, WorkerId thief);
 
   // Erases queue positions [begin, end) and updates the composition counters.
   void RemoveGroup(WorkerId id, size_t begin, size_t end);
@@ -323,12 +340,14 @@ class WorkerStore {
   std::vector<RingBuffer<QueueEntry>> queues_;
   std::vector<DurationUs> busy_accum_us_;
 
-  // Slot-index mapping. Uniform layouts need no tables (divide/multiply by
-  // the shared slot count); heterogeneous layouts carry prefix + reverse maps.
-  bool uniform_ = true;
-  uint32_t uniform_slots_ = 1;
-  std::vector<SlotId> slot_begin_;       // Size N+1; empty when uniform.
-  std::vector<WorkerId> slot_to_worker_; // Size TotalSlots; empty when uniform.
+  // Slot-index mapping. A uniform layout whose slot count is a power of two
+  // (one slot per worker included) shifts by its log2 — no table and no
+  // division on the probe-placement and steal paths; every other layout
+  // carries prefix + reverse tables.
+  bool tables_ = false;
+  uint32_t slot_shift_ = 0;
+  std::vector<SlotId> slot_begin_;       // Size N+1; empty without tables.
+  std::vector<WorkerId> slot_to_worker_; // Size TotalSlots; empty without tables.
 
   uint64_t total_slots_ = 0;
 

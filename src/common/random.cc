@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
@@ -27,33 +25,9 @@ void Rng::Seed(uint64_t seed) {
   }
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = RotL(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
-
 double Rng::NextDouble() {
   // 53 high-quality bits -> [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  HAWK_CHECK_GT(bound, 0u);
-  // Rejection sampling over the largest multiple of `bound`.
-  const uint64_t threshold = (0 - bound) % bound;
-  while (true) {
-    const uint64_t r = Next();
-    if (r >= threshold) {
-      return r % bound;
-    }
-  }
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -132,37 +106,40 @@ void Rng::SampleWithoutReplacement(uint32_t n, uint32_t k, std::vector<uint32_t>
   // Sparse draw (k << n): Floyd's algorithm, O(k) expected, avoids touching
   // all n candidates. Hot path for steal-victim selection on large clusters.
   // Membership testing never touches the draw stream, so the structure is a
-  // pure implementation choice: a linear scan over the output for small k
+  // pure implementation choice: a linear scan over a stack array for small k
   // (steal caps), an epoch-stamped scratch array for larger k (probe
   // batches) — both allocation-free once warm.
-  std::vector<uint32_t>& chosen = *out;
-  if (k <= 16) {
-    for (uint32_t i = n - k; i < n; ++i) {
+  if (k <= kSmallSample) {
+    uint32_t chosen[kSmallSample];
+    for (uint32_t i = n - k, count = 0; i < n; ++i, ++count) {
       const uint32_t j = static_cast<uint32_t>(NextBounded(i + 1));
       bool have_j = false;
-      for (const uint32_t v : chosen) {
-        if (v == j) {
-          have_j = true;
-          break;
-        }
+      for (uint32_t m = 0; m < count; ++m) {
+        have_j |= chosen[m] == j;
       }
-      chosen.push_back(have_j ? i : j);
+      chosen[count] = have_j ? i : j;
     }
-  } else {
-    if (sample_stamp_.size() < n) {
-      sample_stamp_.resize(n, 0);
-    }
-    if (++sample_epoch_ == 0) {  // Epoch wrap: invalidate all stale stamps.
-      std::fill(sample_stamp_.begin(), sample_stamp_.end(), 0);
-      sample_epoch_ = 1;
-    }
-    for (uint32_t i = n - k; i < n; ++i) {
-      const uint32_t j = static_cast<uint32_t>(NextBounded(i + 1));
-      const uint32_t pick = sample_stamp_[j] == sample_epoch_ ? i : j;
-      sample_stamp_[pick] = sample_epoch_;
-      chosen.push_back(pick);
-    }
+    ShuffleFloydOrder(chosen, k);
+    out->assign(chosen, chosen + k);
+    return;
   }
+  if (sample_stamp_.size() < n) {
+    sample_stamp_.resize(n, 0);
+  }
+  if (++sample_epoch_ == 0) {  // Epoch wrap: invalidate all stale stamps.
+    std::fill(sample_stamp_.begin(), sample_stamp_.end(), 0);
+    sample_epoch_ = 1;
+  }
+  for (uint32_t i = n - k; i < n; ++i) {
+    const uint32_t j = static_cast<uint32_t>(NextBounded(i + 1));
+    const uint32_t pick = sample_stamp_[j] == sample_epoch_ ? i : j;
+    sample_stamp_[pick] = sample_epoch_;
+    out->push_back(pick);
+  }
+  ShuffleFloydOrder(out->data(), k);
+}
+
+void Rng::ShuffleFloydOrder(uint32_t* chosen, uint32_t k) {
   // Floyd's produces a biased *order*; shuffle so callers that probe the
   // sample sequentially (steal attempts) see a uniform ordering.
   for (uint32_t i = k; i > 1; --i) {

@@ -22,6 +22,8 @@ class Rng {
 
   void Seed(uint64_t seed);
 
+  // Defined inline (below): the sampling loops and probe placement draw in
+  // tight loops, and an out-of-line draw reloads the state from memory.
   uint64_t Next();
 
   // Uniform double in [0, 1).
@@ -65,6 +67,12 @@ class Rng {
   Rng Fork();
 
  private:
+  // Largest sample drawn in a stack array with linear-scan membership.
+  static constexpr uint32_t kSmallSample = 16;
+
+  // Uniformly permutes the k values Floyd's algorithm drew.
+  void ShuffleFloydOrder(uint32_t* chosen, uint32_t k);
+
   uint64_t state_[4];
   // Epoch-stamped membership scratch for the buffer-reusing sample overload.
   // Purely an acceleration structure: it never influences the draw stream,
@@ -72,6 +80,34 @@ class Rng {
   std::vector<uint32_t> sample_stamp_;
   uint32_t sample_epoch_ = 0;
 };
+
+inline uint64_t Rng::Next() {
+  const auto rotl = [](uint64_t x, int k) { return (x << k) | (x >> (64 - k)); };
+  const uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
+}
+
+inline uint64_t Rng::NextBounded(uint64_t bound) {
+  HAWK_CHECK_GT(bound, 0u);
+  // Rejection sampling over the largest multiple of `bound`: a draw below
+  // threshold = 2^64 mod bound is rejected. The threshold is below `bound`,
+  // so it (and its division) is needed only when a draw lands below `bound`.
+  uint64_t r = Next();
+  if (r < bound) {
+    const uint64_t threshold = (0 - bound) % bound;
+    while (r < threshold) {
+      r = Next();
+    }
+  }
+  return r % bound;
+}
 
 }  // namespace hawk
 

@@ -151,6 +151,100 @@ TEST(RngTest, SampleWithoutReplacementUniformCoverage) {
   }
 }
 
+// The draw stream is part of every pinned result: NextBounded and
+// SampleWithoutReplacement must keep consuming Next() exactly like this
+// reference copy of their original, unoptimized code.
+class ReferenceSampler {
+ public:
+  explicit ReferenceSampler(Rng* rng) : rng_(rng) {}
+
+  uint64_t NextBounded(uint64_t bound) {
+    const uint64_t threshold = (0 - bound) % bound;
+    while (true) {
+      const uint64_t r = rng_->Next();
+      if (r >= threshold) {
+        return r % bound;
+      }
+    }
+  }
+
+  std::vector<uint32_t> Sample(uint32_t n, uint32_t k) {
+    std::vector<uint32_t> out;
+    if (k == 0) {
+      return out;
+    }
+    if (static_cast<uint64_t>(k) * 8 >= n) {
+      out.resize(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        out[i] = i;
+      }
+      for (uint32_t i = 0; i < k; ++i) {
+        const uint32_t j = i + static_cast<uint32_t>(NextBounded(n - i));
+        std::swap(out[i], out[j]);
+      }
+      out.resize(k);
+      return out;
+    }
+    std::vector<bool> taken(n, false);
+    for (uint32_t i = n - k; i < n; ++i) {
+      const uint32_t j = static_cast<uint32_t>(NextBounded(i + 1));
+      const uint32_t pick = taken[j] ? i : j;
+      taken[pick] = true;
+      out.push_back(pick);
+    }
+    for (uint32_t i = k; i > 1; --i) {
+      const uint32_t j = static_cast<uint32_t>(NextBounded(i));
+      std::swap(out[i - 1], out[j]);
+    }
+    return out;
+  }
+
+ private:
+  Rng* rng_;
+};
+
+TEST(RngTest, NextBoundedMatchesReferenceStream) {
+  constexpr uint64_t kTwo63 = uint64_t{1} << 63;
+  // The large bounds make rejection fire on a sizeable share of draws.
+  const uint64_t bounds[] = {1, 2, 10, 1499, kTwo63 + 1, UINT64_MAX, 3 * (kTwo63 / 2)};
+  Rng rng(41);
+  Rng reference_rng(41);
+  ReferenceSampler reference(&reference_rng);
+  for (int round = 0; round < 2000; ++round) {
+    for (const uint64_t bound : bounds) {
+      ASSERT_EQ(rng.NextBounded(bound), reference.NextBounded(bound)) << "bound=" << bound;
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(rng.Next(), reference_rng.Next());
+  }
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesReferenceStream) {
+  Rng rng(43);
+  Rng reference_rng(43);
+  ReferenceSampler reference(&reference_rng);
+  std::vector<uint32_t> reused;
+  for (int round = 0; round < 200; ++round) {
+    for (const uint32_t k : {0u, 1u, 10u, 16u, 17u}) {
+      // Dense (k * 8 >= n) and sparse populations, the sparse ones on both
+      // sides of the k <= 16 membership-structure switch.
+      for (const uint32_t n : {k, 8 * k, 8 * k + 1, 1499u, 100'000u}) {
+        if (n < k) {
+          continue;
+        }
+        ASSERT_EQ(rng.SampleWithoutReplacement(n, k), reference.Sample(n, k))
+            << "n=" << n << " k=" << k;
+        rng.SampleWithoutReplacement(n, k, &reused);
+        ASSERT_EQ(reused, reference.Sample(n, k)) << "n=" << n << " k=" << k;
+      }
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(rng.Next(), reference_rng.Next());
+  }
+}
+
 TEST(RngTest, ForkStreamsAreIndependentAndDeterministic) {
   Rng parent1(77);
   Rng parent2(77);

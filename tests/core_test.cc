@@ -475,5 +475,91 @@ TEST(StealingPolicyTest, DChoiceContactsMostLoadedVictimFirst) {
   }
 }
 
+// A cluster of 200 workers (150 general) in `spec`'s layout with random
+// queues and random long work in flight; job ids are unique per entry.
+Cluster RandomStealCluster(Rng& rng, const SlotSpec& spec) {
+  Cluster cluster(200, 150, spec);
+  WorkerStore& store = cluster.workers();
+  JobId job = 0;
+  for (WorkerId w = 0; w < cluster.NumWorkers(); ++w) {
+    if (rng.Bernoulli(0.3)) {
+      store.BeginExecute(w, 0, QueueEntry::Task(job++, 0, 100, rng.Bernoulli(0.5)));
+    }
+    const uint64_t depth = rng.NextBounded(5);
+    for (uint64_t i = 0; i < depth; ++i) {
+      const bool is_long = rng.Bernoulli(0.3);
+      store.Enqueue(w, rng.Bernoulli(0.5) ? QueueEntry::Probe(job++, is_long)
+                                          : QueueEntry::Task(job++, 0, 100, is_long));
+    }
+  }
+  return cluster;
+}
+
+std::vector<JobId> QueuedJobs(const Cluster& cluster, WorkerId w) {
+  std::vector<JobId> jobs;
+  for (size_t i = 0; i < cluster.workers().QueueSize(w); ++i) {
+    jobs.push_back(cluster.workers().QueueAt(w, i).job);
+  }
+  return jobs;
+}
+
+TEST(StealingPolicyTest, LazyStealFollowsChosenVictims) {
+  // TryStealInto walks its victims lazily and stops at the first steal. It
+  // must contact exactly ChooseVictimsInto's victims, in that order, up to
+  // the first one holding a stealable group, and steal that group — checked
+  // against a replay of the contact list on a copy of the same cluster.
+  const SlotSpec layouts[] = {SlotSpec{1, 0.0, 0}, SlotSpec{4, 0.0, 0}, SlotSpec{1, 0.3, 4}};
+  for (const SlotSpec& spec : layouts) {
+    for (const auto selection :
+         {StealingPolicy::VictimSelection::kRandom, StealingPolicy::VictimSelection::kDChoice}) {
+      Rng rng(17);
+      StealingPolicy chooser(/*cap=*/10, /*seed=*/23, selection);
+      StealingPolicy stealer(/*cap=*/10, /*seed=*/23, selection);
+      RunCounters expected;
+      RunCounters actual;
+      for (int trial = 0; trial < 200; ++trial) {
+        const Cluster cluster = RandomStealCluster(rng, spec);
+        // Alternate thieves inside and outside the general partition.
+        const auto thief = static_cast<WorkerId>(trial % 2 == 0 ? rng.NextBounded(150)
+                                                                : 150 + rng.NextBounded(50));
+        std::vector<WorkerId> victims;
+        chooser.ChooseVictimsInto(cluster, thief, &victims);
+        ASSERT_FALSE(victims.empty());
+        EXPECT_EQ(std::set<WorkerId>(victims.begin(), victims.end()).size(), victims.size());
+
+        Cluster replay = cluster;
+        expected.steal_attempts++;
+        for (const WorkerId victim : victims) {
+          ASSERT_NE(victim, thief);
+          ASSERT_TRUE(cluster.InGeneralPartition(victim));
+          expected.steal_victim_probes++;
+          const std::vector<QueueEntry> group = replay.workers().ExtractStealableGroup(victim);
+          if (!group.empty()) {
+            for (const QueueEntry& entry : group) {
+              replay.workers().Enqueue(thief, entry);
+            }
+            expected.steal_successes++;
+            expected.entries_stolen += group.size();
+            break;
+          }
+        }
+
+        Cluster stolen = cluster;
+        stealer.TryStealInto(stolen, thief, &actual);
+        for (WorkerId w = 0; w < cluster.NumWorkers(); ++w) {
+          ASSERT_EQ(QueuedJobs(stolen, w), QueuedJobs(replay, w)) << "worker " << w;
+        }
+        ASSERT_EQ(actual.steal_attempts, expected.steal_attempts);
+        ASSERT_EQ(actual.steal_victim_probes, expected.steal_victim_probes);
+        ASSERT_EQ(actual.steal_successes, expected.steal_successes);
+        ASSERT_EQ(actual.entries_stolen, expected.entries_stolen);
+      }
+      // The random states must exercise both outcomes.
+      EXPECT_GT(actual.steal_successes, 0u);
+      EXPECT_LT(actual.steal_successes, actual.steal_attempts);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hawk

@@ -1,9 +1,9 @@
-// Golden-result pins: one 64-bit digest per (scheduler, seed, slots) cell
+// Golden-result pins: one 64-bit digest per (scheduler, seed, layout) cell
 // over a fixed chaos workload, for every registered scheduler, on one-slot
-// and on 4-slot workers. Any change to simulation semantics — event
-// ordering, RNG stream consumption, counter accounting — shows up as a
-// digest mismatch here before it can masquerade as a perf win or silently
-// shift paper results.
+// workers, on 4-slot workers and on a heterogeneous fleet. Any change to
+// simulation semantics — event ordering, RNG stream consumption, counter
+// accounting — shows up as a digest mismatch here before it can masquerade
+// as a perf win or silently shift paper results.
 //
 // Regenerate intentionally with:  HAWK_UPDATE_GOLDENS=1 ctest -R golden_test
 // and review the fixture diff like any other code change.
@@ -32,9 +32,16 @@ namespace {
 const char* kAllSchedulers[] = {"sparrow", "centralized", "hawk", "hawk-dchoice",
                                 "hawk-spec", "hawk-latebind", "split"};
 constexpr uint64_t kSeeds[] = {1, 2};
-// Multi-slot cells run the same config on 4-slot workers; one-slot cells keep
-// their historical keys.
-constexpr uint32_t kSlotsPerWorker[] = {1, 4};
+// Worker capacity layouts. Multi-slot cells run the same config on 4-slot
+// workers; heterogeneous cells upgrade 30% of one-slot workers to 4 slots,
+// which exercises the table-mapped slot space and the steal policy's
+// skipping of repeated victims. One-slot cells keep their historical keys.
+struct Layout {
+  uint32_t slots_per_worker;
+  double big_worker_fraction;
+  uint32_t big_worker_slots;
+};
+constexpr Layout kLayouts[] = {{1, 0.0, 0}, {4, 0.0, 0}, {1, 0.3, 4}};
 
 // The pinned workload lights every layer: partitioned + stealing schedulers,
 // speculation (via hawk-spec), crashes, churn, message loss, jitter and
@@ -62,18 +69,21 @@ Trace GoldenTrace() {
   return trace;
 }
 
-std::string CellKey(const std::string& scheduler, uint64_t seed, uint32_t slots) {
+std::string CellKey(const std::string& scheduler, uint64_t seed, const Layout& layout) {
   std::ostringstream key;
   key << scheduler << " seed=" << seed;
-  if (slots != 1) {
-    key << " slots=" << slots;
+  if (layout.slots_per_worker != 1) {
+    key << " slots=" << layout.slots_per_worker;
+  }
+  if (layout.big_worker_slots != 0) {
+    key << " big=" << layout.big_worker_fraction << "x" << layout.big_worker_slots;
   }
   return key.str();
 }
 
-// Fixture format: `<scheduler> seed=<n>[ slots=<s>] <hex digest>` per line
-// (the key is everything before the last field), '#' comments and blank
-// lines ignored.
+// Fixture format: `<scheduler> seed=<n>[ slots=<s>][ big=<f>x<s>] <hex digest>`
+// per line (the key is everything before the last field), '#' comments and
+// blank lines ignored.
 std::map<std::string, uint64_t> LoadGoldens(const std::string& path) {
   std::map<std::string, uint64_t> goldens;
   std::ifstream in(path);
@@ -100,10 +110,12 @@ TEST(GoldenResultTest, EveryRegisteredSchedulerMatchesPinnedDigests) {
   std::map<std::string, uint64_t> actual;
   for (const char* scheduler : kAllSchedulers) {
     for (const uint64_t seed : kSeeds) {
-      for (const uint32_t slots : kSlotsPerWorker) {
+      for (const Layout& layout : kLayouts) {
         HawkConfig config = GoldenConfig(seed);
-        config.slots_per_worker = slots;
-        actual[CellKey(scheduler, seed, slots)] =
+        config.slots_per_worker = layout.slots_per_worker;
+        config.big_worker_fraction = layout.big_worker_fraction;
+        config.big_worker_slots = layout.big_worker_slots;
+        actual[CellKey(scheduler, seed, layout)] =
             testing::DigestResult(RunExperiment(trace, config, scheduler));
       }
     }
